@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -172,21 +172,17 @@ def intercept_resend(
 
     honest = run_protocol(cfg)
 
-    attacker_counts: Counter = Counter()
-
-    def tap(state, position, rng):
+    def tap(state, position):
+        # The attacker's digit labels each branch; the collapsed state is
+        # the "clone" particle sent onward.
         if position != tap_position:
-            return state
-        digit, collapsed = qudit.measure_position(state, position, rng)
-        attacker_counts[digit] += 1
-        return collapsed  # the "clone" particle sent onward
+            return [(1.0, None, state)]
+        return qudit.collapse_branches(state, position)
 
-    attacked_cfg = ResolvedConfig(
-        secrets=cfg.secrets, n=cfg.n, t=cfg.t, d=cfg.d,
-        qualified=cfg.qualified, evaluation_points=cfg.evaluation_points,
-        shots=shots, seed=seed, polynomials=cfg.polynomials,
+    attacked = run_protocol(replace(cfg, shots=shots, seed=seed), tap=tap)
+    attacker_counts = Counter(
+        labels[tap_position - 2] for labels in attacked.tap_labels
     )
-    attacked = run_protocol(attacked_cfg, tap=tap)
     aggregate_counts = Counter(attacked.per_shot_sums)
 
     d = cfg.d

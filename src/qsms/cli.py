@@ -24,7 +24,7 @@ from .adversary import (
     intercept_and_measure,
     intercept_resend,
 )
-from .protocol import ConfigError, RunConfig, run_protocol
+from .protocol import ConfigError, RunConfig, post_transform_branches, run_protocol
 from .qudit import DimensionGuardError
 
 EXIT_OK = 0
@@ -177,6 +177,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else 11
     t = args.t if args.t is not None else 3
     n = args.n if args.n is not None else 7
+    if args.shots < 1:
+        raise ConfigError(f"--shots must be >= 1, got {args.shots}")
     if args.kind == "intercept":
         pairs = args.secret_pairs or ((2, 3), (7, 9))
         report = intercept_and_measure(
@@ -185,11 +187,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     elif args.kind == "intercept-resend":
         config = RunConfig(
             secrets=args.secrets or (2, 3), n=n, t=t, d=d,
-            shots=min(args.shots, 4096), seed=args.seed or 0,
+            shots=args.shots, seed=args.seed or 0,
         )
         report = intercept_resend(
-            config, tap_position=2, shots=min(args.shots, 4096),
-            seed=(args.seed or 0) + 1,
+            config, tap_position=2, shots=args.shots, seed=(args.seed or 0) + 1,
         )
     elif args.kind == "collusion":
         if args.colluders is None:
@@ -218,10 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     shadows = list(args.shadows)
     if len(shadows) != t:
         raise ConfigError(f"expected {t} shadows, got {len(shadows)}")
-    state = qudit.prepare_ghz(t, d)
-    for position in range(1, t + 1):
-        state = qudit.apply_qft(state, position)
-        state = qudit.apply_shift(state, position, shadows[position - 1])
+    [(_, _, state)] = post_transform_branches(shadows, d)
     analytic = qudit.analytic_post_transform_state(t, d, shadows)
     max_diff = float(np.max(np.abs(state.amplitudes - analytic.amplitudes)))
     support = int(np.sum(np.abs(state.amplitudes) > 1e-12))

@@ -11,20 +11,21 @@ A run produces a JSON-serializable transcript.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from . import qudit
-from .qudit import MeasurementOutcome, QuditState
+from .qudit import QuditState
 from .shamir import Polynomial, Share, Shadow, add_shares, compute_shadow, generate_shares
-from .zmod import FieldElement, is_prime, smallest_valid_prime
+from .zmod import is_prime, smallest_valid_prime
 
-# Middleware hook on the initiator's quantum sends: (state, position, rng)
-# -> state. The honest path installs none.
-QuantumTap = Callable[[QuditState, int, np.random.Generator], QuditState]
+# Middleware hook on the initiator's quantum sends: (state, position) ->
+# [(probability, label, state), ...], the weighted branches the send turns
+# into, their probabilities summing to 1. An identity tap returns
+# [(1.0, None, state)]. The honest path installs none.
+QuantumTap = Callable[[QuditState, int], list[tuple[float, Hashable, QuditState]]]
 
 
 class ConfigError(ValueError):
@@ -170,7 +171,7 @@ class PreparedRun:
     """Result of the classical phase (Steps 1-3)."""
 
     config: ResolvedConfig
-    polynomials: list[Polynomial]
+    dealer_shares: list[list[Share]]  # one row per dealer
     players: list[PlayerState]
     messages: list[Message]
     shadows: list[int] = field(default_factory=list)
@@ -178,8 +179,11 @@ class PreparedRun:
 
 def deal(
     secrets: Sequence[int], config: ResolvedConfig, rng: np.random.Generator
-) -> tuple[list[Polynomial], list[PlayerState], list[Message]]:
-    """Step 1: each dealer shares its secret to all n players."""
+) -> tuple[list[list[Share]], list[PlayerState], list[Message]]:
+    """Step 1: each dealer shares its secret to all n players.
+
+    Returns each dealer's row of shares, the players and the share messages.
+    """
     d = config.d
     polys = []
     for k, secret in enumerate(secrets):
@@ -191,8 +195,10 @@ def deal(
             polys.append(Polynomial.random(secret, config.t - 1, d, rng))
     players = [PlayerState(index=i, dealer_shares=[]) for i in range(1, config.n + 1)]
     messages = []
+    rows = []
     for k, poly in enumerate(polys):
         shares = generate_shares(poly, config.evaluation_points, d)
+        rows.append(shares)
         for player, share in zip(players, shares):
             player.dealer_shares.append(share)
             messages.append(
@@ -203,7 +209,7 @@ def deal(
                     payload=share.to_json(),
                 )
             )
-    return polys, players, messages
+    return rows, players, messages
 
 
 def combine_local(player: PlayerState) -> Share:
@@ -221,7 +227,7 @@ def combine_local(player: PlayerState) -> Share:
 
 def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun:
     """Steps 1-3: deal, combine, and compute the qualified set's shadows."""
-    polys, players, messages = deal(config.secrets, config, rng)
+    dealer_shares, players, messages = deal(config.secrets, config, rng)
     for player in players:
         combine_local(player)
     qualified_points = [config.evaluation_points[i - 1] for i in config.qualified]
@@ -233,7 +239,65 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
             player.combined, position, qualified_points, config.d
         )
         shadows.append(player.shadow.value.value)
-    return PreparedRun(config, polys, players, messages, shadows)
+    return PreparedRun(config, dealer_shares, players, messages, shadows)
+
+
+def post_transform_branches(
+    shadows: Sequence[int], d: int, tap: QuantumTap | None = None
+) -> list[tuple[float, tuple, QuditState]]:
+    """Steps 4-5, simulated once per tap branch.
+
+    The initiator prepares the GHZ state and sends legs 2..t through
+    ``tap``; then the player in slot u applies the QFT and X^{shadow_u}.
+    Returns (probability, labels, post-transform state) per branch, with
+    one label per tapped send. Without a tap there is one branch of
+    weight 1.
+    """
+    t = len(shadows)
+    branches = [(1.0, (), qudit.prepare_ghz(t, d))]
+    if tap is not None:
+        for position in range(2, t + 1):
+            branches = [
+                (weight * p, labels + (label,), out)
+                for weight, labels, state in branches
+                for p, label, out in tap(state, position)
+            ]
+            # The branches count against the guard, checked before the
+            # next send multiplies them again.
+            qudit.check_guard(d, t, len(branches))
+    # Rebinding the list after each gate frees the previous states, so at
+    # most two generations of every branch are alive at once.
+    for position, shadow in enumerate(shadows, start=1):
+        branches = [(w, lb, qudit.apply_qft(s, position)) for w, lb, s in branches]
+        branches = [(w, lb, qudit.apply_shift(s, position, shadow))
+                    for w, lb, s in branches]
+    return branches
+
+
+def phase_distribution(
+    shadows: Sequence[int], d: int, tap: QuantumTap | None = None
+) -> tuple[np.ndarray, list[tuple]]:
+    """The joint outcome distribution of every branch, shape (branches, d^t).
+
+    Row b is branch b's probability times the measurement distribution of
+    its post-transform state. Also returns each branch's labels.
+    """
+    branches = post_transform_branches(shadows, d, tap)
+    joint = np.empty((len(branches), d ** len(shadows)))
+    for row, (weight, _, state) in zip(joint, branches):
+        np.multiply(state.probabilities(), weight, out=row)
+    return joint, [labels for _, labels, _ in branches]
+
+
+@dataclass(frozen=True)
+class PhaseOutcomes:
+    """Step 6 for every shot: the measured digits and the tap branch drawn."""
+
+    digits: np.ndarray  # (shots, t) int64, qudit 1 first
+    labels: list[tuple]  # per shot, the labels of its tap branch
+
+    def __len__(self) -> int:
+        return len(self.digits)
 
 
 def run_quantum_phase(
@@ -242,34 +306,32 @@ def run_quantum_phase(
     shots: int,
     rng: np.random.Generator,
     tap: QuantumTap | None = None,
-) -> list[MeasurementOutcome]:
-    """Steps 4-6, repeated per shot with a freshly prepared GHZ state.
+) -> PhaseOutcomes:
+    """Steps 4-6: simulate each tap branch once, then draw all shots in one call.
 
     ``tap`` intercepts the initiator's particle sends (positions 2..t)
     before any QFT is applied; it is how adversaries are wired in.
     """
-    t = len(shadows)
-    if t < 1:
-        raise ValueError("need at least one shadow")
-    outcomes = []
-    for _ in range(shots):
-        state = qudit.prepare_ghz(t, d)
-        if tap is not None:
-            for position in range(2, t + 1):
-                state = tap(state, position, rng)
-        for position in range(1, t + 1):
-            state = qudit.apply_qft(state, position)
-            state = qudit.apply_shift(state, position, shadows[position - 1])
-        outcomes.append(qudit.measure_all(state, rng))
-    return outcomes
+    joint, labels = phase_distribution(shadows, d, tap)
+    branch, index = np.divmod(
+        qudit.sample_indices(joint.reshape(-1), shots, rng), joint.shape[1]
+    )
+    return PhaseOutcomes(
+        qudit.indices_to_digits(index, d, len(shadows)),
+        [labels[b] for b in branch.tolist()],
+    )
 
 
-def aggregate(digits: Sequence[int], d: int) -> FieldElement:
-    """Step 7: the broadcast digits sum to the secret total mod d."""
-    for c in digits:
-        if not 0 <= c < d:
-            raise ValueError(f"digit {c} outside [0, {d})")
-    return FieldElement(sum(digits), d)
+def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
+    """Step 7: each shot's broadcast digits sum to the secret total mod d.
+
+    ``digits`` holds one row per shot; returns one int64 sum per shot.
+    """
+    digits = np.asarray(digits, dtype=np.int64)
+    outside = (digits < 0) | (digits >= d)
+    if outside.any():
+        raise ValueError(f"digit {digits[outside][0]} outside [0, {d})")
+    return digits.sum(axis=-1) % d
 
 
 @dataclass
@@ -279,17 +341,18 @@ class ProtocolTranscript:
     combined_shares: list[Share]
     shadows: list[Shadow]
     messages: list[Message]
-    outcomes: list[MeasurementOutcome]
+    outcomes: np.ndarray  # (shots, t) measured digits
+    tap_labels: list[tuple]  # per shot, its tap branch's labels; not serialized
     per_shot_sums: list[int]
     result: int
     result_binary: str
     seed: int
 
     def histogram(self) -> dict:
-        counts = Counter(o.digits for o in self.outcomes)
+        rows, counts = np.unique(self.outcomes, axis=0, return_counts=True)
         return qudit.histogram_json(
-            dict(counts), self.config.d, self.config.t,
-            len(self.outcomes), self.seed,
+            dict(zip(map(tuple, rows.tolist()), counts.tolist())),
+            self.config.d, self.config.t, len(self.outcomes), self.seed,
         )
 
     def to_dict(self) -> dict:
@@ -302,7 +365,7 @@ class ProtocolTranscript:
             "shadows": [s.to_json() for s in self.shadows],
             "messages": [m.to_json() for m in self.messages],
             "histogram": self.histogram(),
-            "outcomes": [list(o.digits) for o in self.outcomes],
+            "outcomes": self.outcomes.tolist(),
             "per_shot_sums": self.per_shot_sums,
             "result": self.result,
             "result_binary": self.result_binary,
@@ -330,31 +393,25 @@ def run_protocol(
             Message(f"P{initiator}", f"P{i}", "particle", {"position": position})
         )
 
-    outcomes = run_quantum_phase(
+    phase = run_quantum_phase(
         prepared.shadows, cfg.d, cfg.shots, np.random.default_rng(shot_seq), tap=tap
     )
-    sums = [int(aggregate(o.digits, cfg.d)) for o in outcomes]
-    if tap is None and len(set(sums)) != 1:
+    sums = aggregate(phase.digits, cfg.d)
+    if tap is None and (sums != sums[0]).any():
         raise AssertionError("honest run produced non-constant per-shot sums")
-    result = sums[0]
-
-    # Reconstruct transcript share rows from the messages (the players have
-    # already discarded their per-dealer shares).
-    k = len(cfg.secrets)
-    dealer_rows: list[list[Share]] = [[] for _ in range(k)]
-    for poly_idx, poly in enumerate(prepared.polynomials):
-        dealer_rows[poly_idx] = generate_shares(poly, cfg.evaluation_points, cfg.d)
+    result = int(sums[0])
 
     return ProtocolTranscript(
         config=cfg,
-        dealer_shares=dealer_rows,
+        dealer_shares=prepared.dealer_shares,
         combined_shares=[p.combined for p in prepared.players],
         shadows=[
             prepared.players[i - 1].shadow for i in cfg.qualified
         ],
         messages=messages,
-        outcomes=outcomes,
-        per_shot_sums=sums,
+        outcomes=phase.digits,
+        tap_labels=phase.labels,
+        per_shot_sums=sums.tolist(),
         result=result,
         result_binary=format(result, "b"),
         seed=cfg.seed,

@@ -4,7 +4,8 @@ The amplitude vector has length d^t; the flat index is read as base-d
 digits c_1 c_2 ... c_t with qudit 1 the most significant digit, matching
 left-to-right ket order. Provides GHZ-type preparation, the single-qudit
 Fourier transform over Z_d and its inverse, the generalized Pauli shift
-|c> -> |c+m mod d>, and computational-basis measurement/sampling.
+|c> -> |c+m mod d>, and computational-basis measurement: bulk sampling
+through one sampler, and single-qudit collapse as weighted branches.
 """
 from __future__ import annotations
 
@@ -49,10 +50,7 @@ class QuditState:
             raise ValueError("qudit count must be >= 1")
         if not is_prime(d):
             raise ValueError(f"qudit dimension {d} must be prime")
-        if d**t > DIMENSION_GUARD:
-            raise DimensionGuardError(
-                f"state dimension d^t = {d}^{t} exceeds guard {DIMENSION_GUARD}"
-            )
+        check_guard(d, t)
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (d**t,):
             raise ValueError(f"expected {d ** t} amplitudes, got {amps.shape}")
@@ -71,10 +69,6 @@ class QuditState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def copy(self) -> "QuditState":
-        return QuditState(self.d, self.t, self.amplitudes.copy(),
-                          norm_tol=OPERATION_NORM_TOL)
-
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -86,12 +80,14 @@ class MeasurementOutcome:
         return "-".join(str(c) for c in self.digits)
 
 
+def indices_to_digits(indices: Sequence[int], d: int, t: int) -> np.ndarray:
+    """Base-d digits of each flat index, shape (len(indices), t), qudit 1 first."""
+    powers = d ** np.arange(t - 1, -1, -1, dtype=np.int64)
+    return np.asarray(indices, dtype=np.int64)[:, None] // powers % d
+
+
 def index_to_digits(index: int, d: int, t: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(t):
-        index, r = divmod(index, d)
-        digits.append(r)
-    return tuple(reversed(digits))
+    return tuple(indices_to_digits([index], d, t)[0].tolist())
 
 
 def digits_to_index(digits: Sequence[int], d: int) -> int:
@@ -101,16 +97,18 @@ def digits_to_index(digits: Sequence[int], d: int) -> int:
     return index
 
 
-def _check_guard(d: int, t: int) -> None:
-    if d**t > DIMENSION_GUARD:
+def check_guard(d: int, t: int, branches: int = 1) -> None:
+    """Reject ``branches`` states of d^t amplitudes held at once beyond the guard."""
+    if branches * d**t > DIMENSION_GUARD:
+        held = f"{branches} branches of " if branches > 1 else ""
         raise DimensionGuardError(
-            f"state dimension d^t = {d}^{t} exceeds guard {DIMENSION_GUARD}"
+            f"{held}state dimension d^t = {d}^{t} exceeds guard {DIMENSION_GUARD}"
         )
 
 
 def prepare_ghz(t: int, d: int) -> QuditState:
     """(1/sqrt(d)) sum_c |c>|c>...|c> — the protocol's entangled resource."""
-    _check_guard(d, t)
+    check_guard(d, t)
     amps = np.zeros(d**t, dtype=np.complex128)
     stride = (d**t - 1) // (d - 1) if d > 1 else 1  # index of |c c ... c> is c*stride
     amps[np.arange(d) * stride] = 1.0 / np.sqrt(d)
@@ -165,7 +163,7 @@ def analytic_post_transform_state(t: int, d: int,
     """
     if len(shadows) != t:
         raise ValueError(f"expected {t} shadows, got {len(shadows)}")
-    _check_guard(d, t)
+    check_guard(d, t)
     target = sum(s % d for s in shadows) % d
     idx = np.arange(d**t)
     digit_sum = np.zeros(d**t, dtype=np.int64)
@@ -177,20 +175,27 @@ def analytic_post_transform_state(t: int, d: int,
     return QuditState(d, t, amps)
 
 
-def _checked_probabilities(state: QuditState) -> np.ndarray:
-    probs = state.probabilities()
+def _normalized(probs: np.ndarray) -> np.ndarray:
     norm = float(probs.sum())
     if abs(norm - 1.0) > MEASUREMENT_NORM_TOL:
         raise UnnormalizedStateError("unnormalized state")
     return probs / norm
 
 
+def sample_indices(
+    probs: np.ndarray, shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``shots`` flat indices of a probability vector in one call.
+
+    The one sampler behind measure_all, measure_position, sample_counts
+    and the protocol's quantum phase.
+    """
+    return rng.choice(probs.size, size=shots, p=_normalized(probs))
+
+
 def measure_all(state: QuditState, rng: np.random.Generator) -> MeasurementOutcome:
     """Sample one computational-basis outcome over all t qudits."""
-    probs = _checked_probabilities(state)
-    u = rng.random()
-    index = int(min(np.searchsorted(np.cumsum(probs), u, side="right"),
-                    state.dim() - 1))
+    index = int(sample_indices(state.probabilities(), 1, rng)[0])
     return MeasurementOutcome(index_to_digits(index, state.d, state.t))
 
 
@@ -199,38 +204,54 @@ def marginal_distribution(state: QuditState, position: int) -> np.ndarray:
     if not 1 <= position <= state.t:
         raise ValueError(f"position {position} out of range 1..{state.t}")
     d, t = state.d, state.t
-    probs = _checked_probabilities(state)
+    probs = _normalized(state.probabilities())
     reshaped = probs.reshape(d ** (position - 1), d, d ** (t - position))
     return reshaped.sum(axis=(0, 2))
+
+
+def collapse_branches(
+    state: QuditState, position: int
+) -> list[tuple[float, int, QuditState]]:
+    """Projective measurement of one qudit as weighted outcomes.
+
+    Returns one (probability, digit, collapsed and renormalized state) per
+    digit of nonzero probability; the probabilities sum to 1. The branches
+    are held at once, so together they count against the dimension guard.
+    """
+    d, t = state.d, state.t
+    marginal = marginal_distribution(state, position)
+    digits = np.flatnonzero(marginal > 0).tolist()
+    check_guard(d, t, len(digits))
+    reshaped = state.amplitudes.reshape(d ** (position - 1), d, d ** (t - position))
+    branches = []
+    for digit in digits:
+        collapsed = np.zeros_like(reshaped)
+        collapsed[:, digit, :] = reshaped[:, digit, :] / np.sqrt(marginal[digit])
+        branches.append((float(marginal[digit]), digit,
+                         QuditState(d, t, collapsed.reshape(-1),
+                                    norm_tol=OPERATION_NORM_TOL)))
+    return branches
 
 
 def measure_position(
     state: QuditState, position: int, rng: np.random.Generator
 ) -> tuple[int, QuditState]:
     """Projectively measure one qudit; returns (digit, collapsed state)."""
-    d, t = state.d, state.t
-    marginal = marginal_distribution(state, position)
-    u = rng.random()
-    digit = int(min(np.searchsorted(np.cumsum(marginal), u, side="right"), d - 1))
-    reshaped = state.amplitudes.reshape(
-        d ** (position - 1), d, d ** (t - position)
-    ).copy()
-    mask = np.arange(d) != digit
-    reshaped[:, mask, :] = 0.0
-    flat = reshaped.reshape(-1)
-    flat = flat / np.sqrt(marginal[digit])
-    return digit, QuditState(d, t, flat, norm_tol=OPERATION_NORM_TOL)
+    branches = collapse_branches(state, position)
+    weights = np.array([probability for probability, _, _ in branches])
+    _, digit, collapsed = branches[int(sample_indices(weights, 1, rng)[0])]
+    return digit, collapsed
 
 
 def sample_counts(
     state: QuditState, shots: int, seed: int | np.random.Generator
 ) -> dict[tuple[int, ...], int]:
-    """Multinomial shot sampling; returns outcome digits -> count."""
+    """Bulk shot sampling; returns outcome digits -> count."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    probs = _checked_probabilities(state)
-    counts = rng.multinomial(shots, probs)
+    indices = sample_indices(state.probabilities(), shots, rng)
+    counts = np.bincount(indices, minlength=state.dim())
     return {
         index_to_digits(i, state.d, state.t): int(c)
         for i, c in enumerate(counts)

@@ -111,7 +111,7 @@ def test_criterion_4_state_equivalence():
 
 
 def test_criterion_5_support_uniformity(demo_transcript):
-    counts = Counter(o.digits for o in demo_transcript.outcomes)
+    counts = Counter(tuple(o) for o in demo_transcript.outcomes.tolist())
     expected = 8192 / 121
     sigma = math.sqrt(8192 * (1 / 121) * (120 / 121))
     max_dev = max(abs(c - expected) for c in counts.values())

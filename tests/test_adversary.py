@@ -11,8 +11,14 @@ from qsms.adversary import (
     tv_distance,
     uniformity_bound,
 )
-from qsms.protocol import RunConfig, run_protocol
-from qsms.qudit import digits_to_index, index_to_digits, prepare_ghz
+from qsms.protocol import RunConfig, phase_distribution, run_protocol
+from qsms.qudit import (
+    collapse_branches,
+    digits_to_index,
+    index_to_digits,
+    indices_to_digits,
+    prepare_ghz,
+)
 from qsms.shamir import Share
 from qsms.zmod import FieldElement
 
@@ -74,6 +80,20 @@ def test_exact_oracle_is_uniform():
     assert dist == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_collapse_branches_aggregate_equals_exact_oracle(d):
+    # Exact, no sampling: weight each branch's post-transform distribution
+    # and fold it onto the aggregate digit sum.
+    shadows = (1, d - 1)
+    joint, labels = phase_distribution(shadows, d, tap=collapse_branches)
+    assert labels == [(c,) for c in range(d)]
+    np.testing.assert_allclose(joint.sum(axis=1), np.full(d, 1 / d), atol=1e-12)
+    sums = indices_to_digits(np.arange(d**2), d, 2).sum(axis=1) % d
+    dist = np.bincount(sums, weights=joint.sum(axis=0), minlength=d)
+    oracle = exact_attacked_aggregate(d, 2, shadows)
+    assert max(abs(dist[s] - oracle[s]) for s in range(d)) <= 1e-12
+
+
 def test_tap_collapse_matches_exact_oracle_d2():
     # Pure quantum phase at d=2, t=2: measure the sent leg, then run the
     # honest transform. The 4-dim enumeration oracle says the aggregate
@@ -81,17 +101,12 @@ def test_tap_collapse_matches_exact_oracle_d2():
     from collections import Counter
 
     from qsms.protocol import run_quantum_phase
-    from qsms.qudit import measure_position
 
     rng = np.random.default_rng(3)
 
-    def tap(state, pos, tap_rng):
-        _, collapsed = measure_position(state, pos, tap_rng)
-        return collapsed
-
     shots = 4000
-    outcomes = run_quantum_phase([1, 1], 2, shots, rng, tap=tap)
-    counts = Counter(sum(o.digits) % 2 for o in outcomes)
+    outcomes = run_quantum_phase([1, 1], 2, shots, rng, tap=collapse_branches)
+    counts = Counter(sum(o) % 2 for o in outcomes.digits.tolist())
     empirical = {str(k): v / shots for k, v in counts.items()}
     oracle = {str(k): v for k, v in exact_attacked_aggregate(2, 2, (1, 1)).items()}
     assert tv_distance(empirical, oracle) <= uniformity_bound(2, shots)
@@ -119,7 +134,7 @@ def test_intercept_resend_attacker_sees_uniform_d11():
 def test_no_tap_control_identical_to_honest():
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16, seed=7)
     honest = run_protocol(cfg)
-    controlled = run_protocol(cfg, tap=lambda state, pos, rng: state)
+    controlled = run_protocol(cfg, tap=lambda state, pos: [(1.0, None, state)])
     assert controlled.to_json() == honest.to_json()
 
 

@@ -129,6 +129,37 @@ def test_attack_intercept_resend(capsys):
     assert doc["details"]["honest_result"] == 3
 
 
+def test_attack_intercept_resend_runs_every_shot(capsys):
+    assert main(["attack", "--kind", "intercept-resend", "--shots", "5000",
+                 "--d", "5", "--t", "2", "--n", "4",
+                 "--secrets", "1,2"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["shots"] == 5000
+    assert sum(doc["distributions"]["attacker"].values()) == pytest.approx(1.0)
+
+
+def test_attack_collapse_branches_hit_guard(monkeypatch, capsys):
+    # 11 collapse branches of an 11^3 state exceed a guard of 5 * 11^3
+    # before any branch state is built.
+    from qsms import qudit
+
+    monkeypatch.setattr(qudit, "DIMENSION_GUARD", 5 * 11**3)
+    assert main(["attack", "--kind", "intercept-resend", "--shots", "16"]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("error: 11 branches of") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["intercept", "intercept-resend", "collusion"])
+def test_attack_rejects_zero_shots(kind, capsys):
+    argv = ["attack", "--kind", kind, "--shots", "0"]
+    if kind == "collusion":
+        argv += ["--colluders", "2,3"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --shots") and captured.err.count("\n") == 1
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QSMS_OUTPUT_DIR", str(tmp_path))
     assert main(["demo", "--shots", "32", "--output", "nested/demo.json"]) == EXIT_OK

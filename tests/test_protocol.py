@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsms.protocol import (
     ConfigError,
@@ -11,10 +12,12 @@ from qsms.protocol import (
     aggregate,
     combine_local,
     deal,
+    phase_distribution,
     prepare_run,
     run_protocol,
     run_quantum_phase,
 )
+from qsms.qudit import DimensionGuardError, analytic_post_transform_state
 from qsms.shamir import reconstruct
 
 PAPER_CONFIG = RunConfig(
@@ -77,30 +80,56 @@ def test_prepare_run_shadows():
 
 def test_run_quantum_phase_digit_sum_law():
     rng = np.random.default_rng(3)
-    for out in run_quantum_phase([5, 4, 7], 11, 50, rng):
-        assert sum(out.digits) % 11 == 5
+    for out in run_quantum_phase([5, 4, 7], 11, 50, rng).digits:
+        assert sum(out) % 11 == 5
 
 
 def test_run_quantum_phase_single_player():
     rng = np.random.default_rng(4)
-    for out in run_quantum_phase([6], 11, 20, rng):
-        assert out.digits == (6,)
+    for out in run_quantum_phase([6], 11, 20, rng).digits:
+        assert tuple(out) == (6,)
 
 
 def test_run_quantum_phase_small_support():
     rng = np.random.default_rng(5)
-    outcomes = {o.digits for o in run_quantum_phase([1, 2], 3, 500, rng)}
+    outcomes = {tuple(o) for o in run_quantum_phase([1, 2], 3, 500, rng).digits.tolist()}
     assert outcomes <= {(1, 2), (2, 1), (0, 0)}
     assert len(outcomes) == 3  # 500 shots cover a 3-element support
 
 
+SMALL_SHAPES = [(d, t) for d in (2, 3, 5, 7, 11, 13) for t in range(1, 13)
+                if d**t <= 4096]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sampled_distribution_matches_analytic_state(data):
+    d, t = data.draw(st.sampled_from(SMALL_SHAPES))
+    shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
+    joint, labels = phase_distribution(shadows, d)
+    analytic = np.abs(analytic_post_transform_state(t, d, shadows).amplitudes) ** 2
+    assert joint.shape == (1, d**t) and labels == [()]
+    np.testing.assert_allclose(joint[0], analytic, rtol=0, atol=1e-9)
+    digits = run_quantum_phase(shadows, d, 64, np.random.default_rng(d * t)).digits
+    assert digits.shape == (64, t)
+    assert (digits.sum(axis=1) % d == sum(shadows) % d).all()
+
+
+def test_tap_branches_count_against_guard():
+    # 4097 branches of a 2^12-amplitude state exceed 2^24; the tap hands
+    # back the same state object, so nothing large is allocated.
+    def tap(state, position):
+        return [(1 / 4097, k, state) for k in range(4097)]
+
+    with pytest.raises(DimensionGuardError, match="branches"):
+        run_quantum_phase([0] * 12, 2, 8, np.random.default_rng(0), tap=tap)
+
+
 def test_aggregate():
-    assert aggregate((5, 4, 7), 11).value == 5
-    assert aggregate((0, 0, 0), 11).value == 0
-    for digits in [(1, 2), (2, 1), (0, 0)]:
-        assert aggregate(digits, 3).value == 0
+    assert aggregate([(5, 4, 7), (0, 0, 0)], 11).tolist() == [5, 0]
+    assert aggregate([(1, 2), (2, 1), (0, 0)], 3).tolist() == [0, 0, 0]
     with pytest.raises(ValueError, match="digit"):
-        aggregate((11,), 11)
+        aggregate([(11,)], 11)
 
 
 def test_run_protocol_reference_result():
@@ -139,7 +168,7 @@ def test_any_qualified_set_gives_same_result():
 
 def test_shot_variability_with_constant_aggregate():
     transcript = run_protocol(PAPER_CONFIG)
-    assert len({o.digits for o in transcript.outcomes}) > 1
+    assert len({tuple(o) for o in transcript.outcomes.tolist()}) > 1
     assert set(transcript.per_shot_sums) == {5}
 
 
