@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from . import qudit
-from .protocol import ResolvedConfig, RunConfig, prepare_run, run_protocol
-from .shamir import Polynomial, Share
+from .protocol import RunConfig, post_transform_branches, prepare_run, run_protocol
+from .shamir import Share
 
 
 class ThresholdReachedError(ValueError):
@@ -99,33 +99,40 @@ def intercept_and_measure(
 ) -> AttackReport:
     """Tap the initiator's send to one qualified player and measure it.
 
-    For each secret tuple the full classical phase runs, the in-flight
-    state is prepared, and the tapped leg's marginal is sampled ``shots``
-    times. The report compares the per-secret distributions (they should
-    be statistically indistinguishable and uniform) and the attacker's
+    For each secret tuple the classical phase runs and the protocol's
+    quantum phase sends its legs through a tap, which reads the tapped
+    leg's marginal in flight; that marginal is sampled ``shots`` times.
+    The report compares the per-secret distributions (they should be
+    statistically indistinguishable and uniform) and the attacker's
     best-guess success rate against the 1/d baseline.
     """
     if len(secret_pairs) < 2:
         raise ValueError("need at least two secret tuples to compare")
+    configs = [
+        RunConfig(secrets=secrets, n=n, t=t, d=d, shots=shots, seed=seed).resolved()
+        for secrets in secret_pairs
+    ]
+    d, t, shots = configs[0].d, configs[0].t, configs[0].shots
     if not 2 <= tap_position <= t:
         raise ValueError(f"tap position must be in 2..{t}")
-    rng = np.random.default_rng(seed)
+    in_flight = []
+
+    def tap(state, position):
+        # The attacker reads the leg's marginal and lets the state pass.
+        if position == tap_position:
+            in_flight.append(qudit.marginal_distribution(state, position))
+        return [(1.0, None, state)]
+
+    rng = np.random.default_rng(configs[0].seed)
     distributions: dict[str, dict[str, float]] = {}
     pooled: Counter = Counter()
-    for secrets in secret_pairs:
-        if n < d:
-            # Classical phase; shadows never reach the tapped channel.
-            # Skipped when Z_d cannot host n distinct nonzero points
-            # (e.g. d=2): the in-flight state is identical either way.
-            cfg = RunConfig(secrets=tuple(secrets), n=n, t=t, d=d, shots=1,
-                            seed=seed).resolved()
-            prepare_run(cfg, rng)
-        in_flight = qudit.prepare_ghz(t, d)
-        marginal = qudit.marginal_distribution(in_flight, tap_position)
-        sampled = rng.multinomial(shots, marginal)
+    for cfg in configs:
+        prepared = prepare_run(cfg, rng)
+        post_transform_branches(prepared.shadows, d, tap)
+        sampled = rng.multinomial(shots, in_flight.pop())
         counts = Counter({c: int(v) for c, v in enumerate(sampled) if v > 0})
         pooled.update(counts)
-        distributions[str(tuple(secrets))] = _counts_to_dist(counts, shots)
+        distributions[str(cfg.secrets)] = _counts_to_dist(counts, shots)
 
     uniform = {str(c): 1.0 / d for c in range(d)}
     tv = {}
@@ -155,7 +162,7 @@ def intercept_and_measure(
 
 
 def intercept_resend(
-    config: RunConfig | ResolvedConfig,
+    config: RunConfig,
     tap_position: int,
     shots: int,
     seed: int = 0,
@@ -164,9 +171,11 @@ def intercept_resend(
 
     Reports the attacker's outcome distribution (uniform, success 1/d)
     and the downstream damage: the attacked run's aggregate spreads over
-    Z_d while the honest run is a constant.
+    Z_d while the honest run is a constant. The attacked run is ``config``
+    with ``shots`` and ``seed`` replaced.
     """
-    cfg = config.resolved() if isinstance(config, RunConfig) else config
+    cfg = config.resolved()
+    attacked_cfg = replace(config, shots=shots, seed=seed).resolved()
     if not 2 <= tap_position <= cfg.t:
         raise ValueError(f"tap position must be in 2..{cfg.t}")
 
@@ -179,13 +188,13 @@ def intercept_resend(
             return [(1.0, None, state)]
         return qudit.collapse_branches(state, position)
 
-    attacked = run_protocol(replace(cfg, shots=shots, seed=seed), tap=tap)
+    attacked = run_protocol(attacked_cfg, tap=tap)
     attacker_counts = Counter(
         labels[tap_position - 2] for labels in attacked.tap_labels
     )
     aggregate_counts = Counter(attacked.per_shot_sums)
 
-    d = cfg.d
+    d, shots = cfg.d, attacked_cfg.shots
     attacker_dist = _counts_to_dist(attacker_counts, shots)
     aggregate_dist = _counts_to_dist(aggregate_counts, shots)
     uniform = {str(c): 1.0 / d for c in range(d)}
@@ -235,20 +244,17 @@ def collusion_inference(
         )
     if d**t > _ENUMERATION_GUARD:
         raise ValueError(f"enumeration of {d}^{t} polynomials exceeds guard")
-    candidates: Counter = Counter()
-    for coeffs in itertools.product(range(d), repeat=t):
-        poly = Polynomial.from_ints(coeffs, d)
-        if all(
-            poly.evaluate(s.x.value).value == s.value.value
-            for s in colluder_shares
-        ):
-            candidates[coeffs[0]] += 1
-    candidate_count = len(candidates)
-    dist = (
-        {str(s): c / sum(candidates.values()) for s, c in sorted(candidates.items())}
-        if candidates
-        else {}
-    )
+    # Row c of ``coeffs`` is candidate c, constant term first, in the order
+    # of itertools.product(range(d), repeat=t).
+    coeffs = qudit.indices_to_digits(np.arange(d**t), d, t)
+    xs = np.array([s.x.value for s in colluder_shares], dtype=np.int64)
+    ys = np.array([s.value.value for s in colluder_shares], dtype=np.int64)
+    powers = xs ** np.arange(t)[:, None] % d  # (t, colluders): x^j mod d
+    consistent = (coeffs @ powers % d == ys).all(axis=1)
+    counts = np.bincount(coeffs[consistent, 0], minlength=d).tolist()
+    candidates = {s: c for s, c in enumerate(counts) if c}
+    candidate_count, total = len(candidates), sum(counts)
+    dist = {str(s): c / total for s, c in candidates.items()}
     passed = candidate_count == d
     return AttackReport(
         scenario=AttackScenario(
@@ -262,6 +268,6 @@ def collusion_inference(
         passed=passed,
         details={
             "candidate_count": candidate_count,
-            "candidates": sorted(candidates),
+            "candidates": list(candidates),
         },
     )

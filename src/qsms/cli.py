@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,29 +72,13 @@ def _write_output(name: str | None, text: str) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
+    values = {}
+    if args.config:
         with open(args.config) as fh:
-            values.update(json.load(fh))
-    for key in ("secrets", "n", "t", "d", "shots", "seed", "qualified", "poly"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values["polynomials" if key == "poly" else key] = flag
-    if "secrets" not in values:
-        raise ConfigError("no secrets given (use --secrets or a config file)")
-    if "n" not in values or "t" not in values:
-        raise ConfigError("player count --n and threshold --t are required")
-    return RunConfig(
-        secrets=tuple(values["secrets"]),
-        n=int(values["n"]),
-        t=int(values["t"]),
-        d=int(values["d"]) if values.get("d") is not None else None,
-        qualified=tuple(values["qualified"]) if values.get("qualified") else None,
-        shots=int(values.get("shots", 8192)),
-        seed=int(values.get("seed", 0)),
-        polynomials=tuple(tuple(p) for p in values["polynomials"])
-        if values.get("polynomials")
-        else None,
+            values = json.load(fh)
+    keys = ("secrets", "n", "t", "d", "shots", "seed", "qualified", "polynomials")
+    return RunConfig.from_mapping(
+        values, **{k: v for k in keys if (v := getattr(args, k)) is not None}
     )
 
 
@@ -141,12 +126,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    config = DEMO_CONFIG
-    if args.shots is not None:
-        config = RunConfig(**{**config.__dict__, "shots": args.shots})
-    if args.seed is not None:
-        config = RunConfig(**{**config.__dict__, "seed": args.seed})
-    transcript = run_protocol(config)
+    overrides = {k: v for k in ("shots", "seed") if (v := getattr(args, k)) is not None}
+    transcript = run_protocol(replace(DEMO_CONFIG, **overrides))
     print(_render_table(transcript))
     _write_output(args.output, transcript.to_json())
 
@@ -174,41 +155,30 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    d = args.d if args.d is not None else 11
-    t = args.t if args.t is not None else 3
-    n = args.n if args.n is not None else 7
-    if args.shots < 1:
-        raise ConfigError(f"--shots must be >= 1, got {args.shots}")
+    config = RunConfig(secrets=args.secrets, n=args.n, t=args.t, d=args.d,
+                       shots=args.shots, seed=args.seed)
     if args.kind == "intercept":
-        pairs = args.secret_pairs or ((2, 3), (7, 9))
-        report = intercept_and_measure(
-            pairs, n=n, t=t, d=d, shots=args.shots, seed=args.seed or 0
-        )
+        report = intercept_and_measure(args.secret_pairs, n=args.n, t=args.t, d=args.d,
+                                       shots=args.shots, seed=args.seed)
     elif args.kind == "intercept-resend":
-        config = RunConfig(
-            secrets=args.secrets or (2, 3), n=n, t=t, d=d,
-            shots=args.shots, seed=args.seed or 0,
-        )
-        report = intercept_resend(
-            config, tap_position=2, shots=args.shots, seed=(args.seed or 0) + 1,
-        )
-    elif args.kind == "collusion":
-        if args.colluders is None:
+        report = intercept_resend(config, tap_position=2, shots=args.shots,
+                                  seed=args.seed + 1)
+    else:  # collusion
+        cfg, colluders = config.resolved(), args.colluders
+        if colluders is None:
             raise ConfigError("--colluders is required for a collusion attack")
-        if len(args.colluders) >= t:
+        if len(set(colluders)) != len(colluders) or not all(
+            1 <= i <= cfg.n for i in colluders
+        ):
+            raise ConfigError(f"colluders must be distinct players in 1..{cfg.n}")
+        if len(colluders) >= cfg.t:
             raise ConfigError(
                 "colluder set reaches the threshold; reconstruction is legitimate"
             )
-        config = RunConfig(
-            secrets=args.secrets or (2, 3), n=n, t=t, d=d, shots=1,
-            seed=args.seed or 0,
-            polynomials=((2, 1, 1), (3, 1, 1)) if (args.secrets or (2, 3)) == (2, 3) and t == 3 else None,
-        )
-        transcript = run_protocol(config)
-        shares = [transcript.combined_shares[i - 1] for i in args.colluders]
-        report = collusion_inference(shares, t=t, d=d)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown attack kind {args.kind}")
+        # The coalition pools the shares it was dealt; one shot deals them.
+        shares = run_protocol(replace(cfg, shots=1)).combined_shares
+        report = collusion_inference([shares[i - 1] for i in colluders],
+                                     t=cfg.t, d=cfg.d)
     print(report.to_json())
     _write_output(args.output, report.to_json())
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -246,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--shots", type=int)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--qualified", type=_int_list)
-    run_p.add_argument("--poly", type=_poly_list, dest="poly",
+    run_p.add_argument("--poly", type=_poly_list, dest="polynomials", metavar="POLY",
                        help="pinned coefficients, e.g. '2,1,1;3,1,1'")
     run_p.add_argument("--output")
     run_p.add_argument("--format", choices=["json", "csv", "pretty"],
@@ -263,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     attack_p.add_argument("--kind", required=True,
                           choices=["intercept", "intercept-resend", "collusion"])
     attack_p.add_argument("--shots", type=int, default=100_000)
-    attack_p.add_argument("--secrets", type=_int_list)
+    attack_p.add_argument("--secrets", type=_int_list, default=(2, 3))
     attack_p.add_argument("--secret-pairs", type=_poly_list, dest="secret_pairs",
-                          help="e.g. '2,3;7,9'")
+                          default=((2, 3), (7, 9)), help="e.g. '2,3;7,9'")
     attack_p.add_argument("--colluders", type=_int_list)
-    attack_p.add_argument("--n", type=int)
-    attack_p.add_argument("--t", type=int)
-    attack_p.add_argument("--d", type=int)
-    attack_p.add_argument("--seed", type=int)
+    attack_p.add_argument("--n", type=int, default=7)
+    attack_p.add_argument("--t", type=int, default=3)
+    attack_p.add_argument("--d", type=int, default=11)
+    attack_p.add_argument("--seed", type=int, default=0)
     attack_p.add_argument("--output")
     attack_p.set_defaults(func=cmd_attack)
 

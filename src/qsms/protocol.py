@@ -11,8 +11,9 @@ A run produces a JSON-serializable transcript.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+import operator
+from dataclasses import dataclass, field, fields
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +33,23 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; bools, floats and strings are rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _sequence(name: str, values, item=_integer) -> tuple:
+    """``values`` as a tuple of ``item(f"{name}[i]", value)``; a string is no list."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(values))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     secrets: tuple[int, ...]
@@ -45,67 +63,86 @@ class RunConfig:
     polynomials: tuple[tuple[int, ...], ...] | None = None
     allow_out_of_range_prime: bool = False
 
+    @classmethod
+    def from_mapping(cls, values: Mapping, /, **overrides) -> "RunConfig":
+        """A config from a JSON object with ``overrides`` on top.
+
+        Takes every field but ``allow_out_of_range_prime``. Rejects a
+        non-object, an unknown key and a missing secrets, n or t; the
+        values themselves are checked by ``resolved()``.
+        """
+        if not isinstance(values, Mapping):
+            raise ConfigError(
+                f"config must be a JSON object, got {type(values).__name__}"
+            )
+        values = {**values, **overrides}
+        accepted = {f.name for f in fields(cls)} - {"allow_out_of_range_prime"}
+        unknown = sorted(map(str, values.keys() - accepted))
+        if unknown:
+            raise ConfigError(
+                f"unknown config key(s) {', '.join(unknown)}; "
+                f"accepted: {', '.join(sorted(accepted))}"
+            )
+        missing = [key for key in ("secrets", "n", "t") if key not in values]
+        if missing:
+            raise ConfigError(f"missing {', '.join(missing)} (flag or config key)")
+        return cls(**values)
+
     def resolved(self) -> "ResolvedConfig":
-        if self.n < 2:
+        """Every input checked and every default filled in: the one check
+        of a run's inputs. Code taking a ResolvedConfig re-checks nothing."""
+        n, t, shots, seed = (
+            _integer(name, getattr(self, name)) for name in ("n", "t", "shots", "seed")
+        )
+        if n < 2:
             raise ConfigError("need at least 2 players")
-        if not 2 <= self.t <= self.n:
-            raise ConfigError(f"threshold must satisfy 2 <= t <= n, got t={self.t}")
-        # Default prime: smallest in (n, 2n], so n distinct nonzero
-        # evaluation points exist (a prime d = n would leave only d-1).
-        d = self.d
-        if d is None:
-            d = self.n + 1
-            while not is_prime(d):
-                d += 1
-            if d > 2 * self.n:  # pragma: no cover - Bertrand guarantees
-                d = smallest_valid_prime(self.n)
+        if not 2 <= t <= n:
+            raise ConfigError(f"threshold must satisfy 2 <= t <= n, got t={t}")
+        d = smallest_valid_prime(n) if self.d is None else _integer("d", self.d)
+        # The range check runs first: it is cheap, primality of a huge d is not.
+        if not self.allow_out_of_range_prime and not n <= d <= 2 * n:
+            raise ConfigError(f"d={d} outside [n, 2n] = [{n}, {2 * n}]")
         if not is_prime(d):
             raise ConfigError(f"d={d} is not prime")
-        if not self.allow_out_of_range_prime and not self.n <= d <= 2 * self.n:
-            raise ConfigError(
-                f"d={d} outside [n, 2n] = [{self.n}, {2 * self.n}]"
-            )
-        if not self.secrets:
+        secrets = _sequence("secrets", self.secrets)
+        if not secrets:
             raise ConfigError("need at least one secret")
-        for s in self.secrets:
+        for s in secrets:
             if not 0 <= s < d:
                 raise ConfigError(f"secret {s} outside [0, {d})")
-        qualified = self.qualified if self.qualified is not None else tuple(
-            range(1, self.t + 1)
+        qualified = _sequence(
+            "qualified", range(1, t + 1) if self.qualified is None else self.qualified
         )
-        if len(qualified) != self.t or len(set(qualified)) != self.t:
-            raise ConfigError(f"qualified set must be {self.t} distinct players")
-        if any(not 1 <= i <= self.n for i in qualified):
+        if len(qualified) != t or len(set(qualified)) != t:
+            raise ConfigError(f"qualified set must be {t} distinct players")
+        if any(not 1 <= i <= n for i in qualified):
             raise ConfigError("qualified player index out of range")
-        points = self.evaluation_points if self.evaluation_points is not None else tuple(
-            range(1, self.n + 1)
-        )
-        if len(points) != self.n:
+        points = self.evaluation_points
+        points = _sequence("evaluation_points",
+                           range(1, n + 1) if points is None else points)
+        if len(points) != n:
             raise ConfigError("need one evaluation point per player")
-        if len({p % d for p in points}) != self.n or any(p % d == 0 for p in points):
+        if len({p % d for p in points}) != n or any(p % d == 0 for p in points):
             raise ConfigError("evaluation points must be distinct and nonzero mod d")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
-        if self.polynomials is not None:
-            if len(self.polynomials) != len(self.secrets):
+        if shots < 1:
+            raise ConfigError(f"shots must be >= 1, got {shots}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        polynomials = self.polynomials
+        if polynomials is not None:
+            polynomials = _sequence("polynomials", polynomials, _sequence)
+            if len(polynomials) != len(secrets):
                 raise ConfigError("need one pinned polynomial per secret")
-            for secret, coeffs in zip(self.secrets, self.polynomials):
-                if len(coeffs) != self.t:
+            for secret, coeffs in zip(secrets, polynomials):
+                if len(coeffs) != t:
                     raise ConfigError("pinned polynomials must have t coefficients")
-                if coeffs[0] % d != secret % d:
+                if coeffs[0] % d != secret:
                     raise ConfigError(
                         f"pinned constant term {coeffs[0]} does not match secret {secret}"
                     )
         return ResolvedConfig(
-            secrets=tuple(self.secrets),
-            n=self.n,
-            t=self.t,
-            d=d,
-            qualified=tuple(qualified),
-            evaluation_points=tuple(points),
-            shots=self.shots,
-            seed=self.seed,
-            polynomials=self.polynomials,
+            secrets=secrets, n=n, t=t, d=d, qualified=qualified,
+            evaluation_points=points, shots=shots, seed=seed, polynomials=polynomials,
         )
 
 
@@ -178,21 +215,19 @@ class PreparedRun:
 
 
 def deal(
-    secrets: Sequence[int], config: ResolvedConfig, rng: np.random.Generator
+    config: ResolvedConfig, rng: np.random.Generator
 ) -> tuple[list[list[Share]], list[PlayerState], list[Message]]:
     """Step 1: each dealer shares its secret to all n players.
 
     Returns each dealer's row of shares, the players and the share messages.
     """
     d = config.d
-    polys = []
-    for k, secret in enumerate(secrets):
-        if not 0 <= secret < d:
-            raise ConfigError(f"secret {secret} outside [0, {d})")
-        if config.polynomials is not None:
-            polys.append(Polynomial.from_ints(config.polynomials[k], d))
-        else:
-            polys.append(Polynomial.random(secret, config.t - 1, d, rng))
+    polys = [
+        Polynomial.from_ints(config.polynomials[k], d)
+        if config.polynomials is not None
+        else Polynomial.random(secret, config.t - 1, d, rng)
+        for k, secret in enumerate(config.secrets)
+    ]
     players = [PlayerState(index=i, dealer_shares=[]) for i in range(1, config.n + 1)]
     messages = []
     rows = []
@@ -215,8 +250,6 @@ def deal(
 def combine_local(player: PlayerState) -> Share:
     """Step 2: fold per-dealer shares into one combined share; the
     per-dealer shares are discarded from the player's record."""
-    if not player.dealer_shares:
-        raise ValueError(f"player {player.index} holds no shares")
     combined = player.dealer_shares[0]
     for share in player.dealer_shares[1:]:
         combined = add_shares(combined, share)
@@ -227,7 +260,7 @@ def combine_local(player: PlayerState) -> Share:
 
 def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun:
     """Steps 1-3: deal, combine, and compute the qualified set's shadows."""
-    dealer_shares, players, messages = deal(config.secrets, config, rng)
+    dealer_shares, players, messages = deal(config, rng)
     for player in players:
         combine_local(player)
     qualified_points = [config.evaluation_points[i - 1] for i in config.qualified]

@@ -72,18 +72,6 @@ class FieldElement:
         return self.value
 
 
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inv()
-
-
 def lagrange_coefficient(u: int, points: list[int], d: int) -> FieldElement:
     """Interpolation weight at x=0 for the u-th point of a qualified set.
 
@@ -111,10 +99,9 @@ def lagrange_coefficient(u: int, points: list[int], d: int) -> FieldElement:
 
 
 def smallest_valid_prime(n: int) -> int:
-    """Smallest prime d with n <= d <= 2n (exists for every n >= 1)."""
+    """Smallest prime d with n < d <= 2n, so Z_d has n distinct nonzero
+    evaluation points. Bertrand's postulate puts one there for every n >= 1.
+    """
     if n < 1:
         raise ValueError("player count must be >= 1")
-    for candidate in range(max(n, 2), 2 * n + 1):
-        if is_prime(candidate):
-            return candidate
-    raise AssertionError(f"no prime in [{n}, {2 * n}]")  # unreachable
+    return next(d for d in range(n + 1, 2 * n + 1) if is_prime(d))

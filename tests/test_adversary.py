@@ -11,7 +11,7 @@ from qsms.adversary import (
     tv_distance,
     uniformity_bound,
 )
-from qsms.protocol import RunConfig, phase_distribution, run_protocol
+from qsms.protocol import ConfigError, RunConfig, phase_distribution, run_protocol
 from qsms.qudit import (
     collapse_branches,
     digits_to_index,
@@ -40,12 +40,15 @@ def test_intercept_uniform_marginal_d11():
             assert abs(p - 1 / 11) < 0.01
 
 
-def test_intercept_coin_baseline_d2():
+def test_intercept_rejects_d2_baseline_d3():
+    # Z_2 has one nonzero evaluation point, too few for n=2 players.
+    with pytest.raises(ConfigError, match="evaluation points"):
+        intercept_and_measure([(0,), (1,)], n=2, t=2, d=2, shots=10_000, seed=1)
     report = intercept_and_measure(
-        [(0,), (1,)], n=2, t=2, d=2, shots=10_000, seed=1
+        [(0,), (1,)], n=2, t=2, d=3, shots=10_000, seed=1
     )
     assert report.passed
-    assert abs(report.guess_rate - 0.5) < 0.03
+    assert abs(report.guess_rate - 1 / 3) < 0.03
 
 
 def test_intercept_secret_independence():
@@ -54,6 +57,22 @@ def test_intercept_secret_independence():
     )
     key = "(2, 3) vs (7, 9)"
     assert report.tv_distances[key] <= 0.02
+
+
+def test_intercept_observes_the_state_the_protocol_sends(monkeypatch):
+    # A protocol that sent |0...0> instead of the GHZ state would hand the
+    # eavesdropper a fixed digit; the check must catch it.
+    from qsms import qudit
+
+    def product_state(t, d):
+        amplitudes = np.zeros(d**t)
+        amplitudes[0] = 1.0
+        return qudit.QuditState(d, t, amplitudes)
+
+    monkeypatch.setattr(qudit, "prepare_ghz", product_state)
+    report = intercept_and_measure([(2, 3), (7, 9)], n=7, t=3, d=11, shots=1000)
+    assert not report.passed
+    assert report.guess_rate == 1.0
 
 
 def test_intercept_requires_two_pairs():
@@ -152,6 +171,36 @@ def test_collusion_two_of_three_sees_all_candidates():
     assert report.passed
     assert report.details["candidate_count"] == 11
     assert report.details["candidates"] == list(range(11))
+
+
+@pytest.mark.parametrize("d,t,k", [(5, 3, 1), (5, 3, 2), (7, 2, 1), (3, 4, 2)])
+def test_collusion_matches_enumeration_oracle(d, t, k):
+    # Oracle: every polynomial of degree < t, evaluated point by point.
+    # Perfect secrecy: each secret keeps d^(t-k-1) consistent polynomials.
+    rng = np.random.default_rng(d * 100 + t * 10 + k)
+    coeffs = rng.integers(0, d, size=t)
+    shares = [Share(FieldElement(x, d), FieldElement(
+        sum(int(c) * x**j for j, c in enumerate(coeffs)), d)) for x in range(1, k + 1)]
+    oracle = {}
+    for cand in itertools.product(range(d), repeat=t):
+        if all(sum(c * s.x.value**j for j, c in enumerate(cand)) % d == s.value.value
+               for s in shares):
+            oracle[cand[0]] = oracle.get(cand[0], 0) + 1
+    assert oracle == {s: d ** (t - k - 1) for s in range(d)}
+    report = collusion_inference(shares, t=t, d=d)
+    assert report.passed
+    assert report.details["candidates"] == sorted(oracle)
+    assert report.distributions["candidate_secrets"] == {
+        str(s): c / sum(oracle.values()) for s, c in sorted(oracle.items())
+    }
+
+
+def test_collusion_inconsistent_shares_fail():
+    # Two different values at one point: no polynomial fits, nothing survives.
+    shares = [Share(FieldElement(1, 5), FieldElement(v, 5)) for v in (1, 2)]
+    report = collusion_inference(shares, t=3, d=5)
+    assert not report.passed
+    assert report.details["candidate_count"] == 0
 
 
 def test_collusion_threshold_set_rejected():

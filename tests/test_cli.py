@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qsms import qudit
 from qsms.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -157,7 +163,131 @@ def test_attack_rejects_zero_shots(kind, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --shots") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: shots must be >= 1")
+    assert captured.err.count("\n") == 1
+
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"secrets": "12", "n": 7, "t": 3}, "secrets must be a list"),
+        ([2, 3], "config must be a JSON object"),
+        ({"secrets": [2, 3], "n": 7, "t": 3.9}, "t must be an integer"),
+        ({"secrets": [2.7, 3], "n": 7, "t": 3}, r"secrets\[0\] must be an integer"),
+        ({"secrets": [2, 3], "n": 7, "t": 3, "qualifed": [1, 2, 3]},
+         "unknown config key"),
+    ],
+)
+def test_run_rejects_bad_config_file(config, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == EXIT_USAGE
+    assert re.search(message, _single_error_line(capsys))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--kind", "collusion", "--colluders", "1,99"], "distinct players in 1..7"),
+        (["--kind", "collusion", "--colluders", "0,1"], "distinct players in 1..7"),
+        (["--kind", "collusion", "--colluders", "2,2"], "distinct players in 1..7"),
+        (["--kind", "intercept", "--n", "99"], "outside"),
+        (["--kind", "intercept-resend", "--n", "99"], "outside"),
+        (["--kind", "collusion", "--colluders", "1", "--n", "99"], "outside"),
+    ],
+)
+def test_attack_rejects_bad_inputs(argv, message, capsys):
+    assert main(["attack", *argv, "--shots", "16"]) == EXIT_USAGE
+    assert message in _single_error_line(capsys)
+
+
+# Fuzzed inputs stay small: shots <= 64, d <= 31, t <= 4, no subprocesses.
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+_INT = st.integers(-1, 40)
+_INTS = st.lists(_INT, max_size=5)
+_ROWS = st.lists(_INTS, max_size=3)
+# "qualifed" is a misspelt key.
+_FLAG_VALUES = {"n": _INT, "t": _INT, "d": _INT, "shots": _INT, "seed": _INT,
+                "secrets": _INTS, "qualified": _INTS, "polynomials": _ROWS,
+                "colluders": _INTS, "secret-pairs": _ROWS}
+_JSON = st.one_of(st.none(), st.booleans(), _INT, st.floats(-1, 40), st.text(max_size=3),
+                  _INTS, _ROWS, st.lists(st.floats(0, 12), max_size=3))
+_CONFIG_KEYS = ["n", "t", "d", "shots", "seed", "secrets", "qualified",
+                "evaluation_points", "polynomials", "qualifed"]
+
+
+@st.composite
+def _valid_inputs(draw) -> dict:
+    """A valid run: 2 <= n <= 12 players, t <= 4, a prime d in (n, 2n]."""
+    n = draw(st.integers(2, 12))
+    t = draw(st.integers(2, min(n, 4)))
+    d = draw(st.sampled_from([p for p in _PRIMES if n < p <= 2 * n]))
+    secrets = st.lists(st.integers(0, d - 1), min_size=1, max_size=3)
+    return {"n": n, "t": t, "d": d, "secrets": draw(secrets),
+            "shots": draw(st.integers(1, 64)), "seed": draw(st.integers(0, 2**32)),
+            "colluders": draw(st.lists(st.integers(1, n), unique=True, max_size=t - 1)),
+            "secret-pairs": draw(st.lists(secrets, min_size=2, max_size=3))}
+
+
+def _flag(key: str, value) -> str:
+    if isinstance(value, list):
+        value = ";".join(",".join(map(str, row)) for row in value) if key in (
+            "polynomials", "secret-pairs") else ",".join(map(str, value))
+    return f"--{'poly' if key == 'polynomials' else key}={value}"
+
+
+@st.composite
+def _cli_argv(draw) -> tuple[list[str], object]:
+    """argv for ``run`` or ``attack`` and, for ``run``, a --config value."""
+    values = draw(_valid_inputs())
+    if draw(st.booleans()):
+        attack = ["intercept", "intercept-resend", "collusion"]
+        argv = ["attack", "--kind", draw(st.sampled_from(attack))]
+        for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=2)):
+            values[key] = draw(_FLAG_VALUES[key])
+        flags = {"shots"} | draw(st.sets(st.sampled_from(sorted(values))))
+        return argv + [_flag(k, values[k]) for k in sorted(flags)], None
+    argv = ["run", "--format", draw(st.sampled_from(["json", "csv", "pretty"]))]
+    del values["colluders"], values["secret-pairs"]
+    in_file = draw(st.sets(st.sampled_from(sorted(values))))
+    flags = {k: v for k, v in values.items() if k not in in_file}
+    config = {k: v for k, v in values.items() if k in in_file}
+    # Up to two inputs replaced: a flag's by an integer or integer list (what
+    # argparse accepts), a config key's by any JSON value.
+    for key in draw(st.lists(st.sampled_from(_CONFIG_KEYS), max_size=2)):
+        if key in _FLAG_VALUES and draw(st.booleans()):
+            flags[key] = draw(_FLAG_VALUES[key])
+        else:
+            config[key] = draw(st.one_of(_FLAG_VALUES.get(key, _INTS), _JSON))
+    if draw(st.integers(0, 9)) == 0:
+        config = draw(_JSON)
+    return argv + [_flag(k, v) for k, v in sorted(flags.items())], config
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_cli_argv())
+def test_cli_fuzz_exits_cleanly(case, tmp_path_factory):
+    argv, config = case
+    if config is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    # A lower guard keeps every simulated state small; runs past it exit 3.
+    with mock.patch.object(qudit, "DIMENSION_GUARD", 2**16), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_VERIFY}
+    assert "Traceback" not in err.getvalue()
+    if code != EXIT_OK:
+        assert err.getvalue().count("\n") <= 1
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch, capsys):

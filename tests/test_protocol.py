@@ -33,7 +33,7 @@ PAPER_CONFIG = RunConfig(
 
 def test_deal_reproduces_reference_rows():
     cfg = PAPER_CONFIG.resolved()
-    polys, players, messages = deal(cfg.secrets, cfg, np.random.default_rng(0))
+    polys, players, messages = deal(cfg, np.random.default_rng(0))
     f_row = [p.dealer_shares[0].value.value for p in players]
     g_row = [p.dealer_shares[1].value.value for p in players]
     assert f_row == [4, 8, 3, 0, 10, 0, 3]
@@ -44,14 +44,14 @@ def test_deal_reproduces_reference_rows():
 def test_deal_constant_polynomial():
     cfg = RunConfig(secrets=(4,), n=3, t=2, d=5, polynomials=((4, 0),),
                     shots=1).resolved()
-    _, players, _ = deal((4,), cfg, np.random.default_rng(0))
+    _, players, _ = deal(cfg, np.random.default_rng(0))
     assert all(p.dealer_shares[0].value.value == 4 for p in players)
 
 
 def test_deal_random_polynomials_round_trip():
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=1, seed=0).resolved()
     rng = np.random.default_rng(1)
-    polys, players, _ = deal(cfg.secrets, cfg, rng)
+    polys, players, _ = deal(cfg, rng)
     for k, secret in enumerate(cfg.secrets):
         shares = [p.dealer_shares[k] for p in players[2:5]]
         assert reconstruct(shares, cfg.d, threshold=cfg.t).value == secret
@@ -59,7 +59,7 @@ def test_deal_random_polynomials_round_trip():
 
 def test_combine_local_reference_row():
     cfg = PAPER_CONFIG.resolved()
-    _, players, _ = deal(cfg.secrets, cfg, np.random.default_rng(0))
+    _, players, _ = deal(cfg, np.random.default_rng(0))
     h_row = [combine_local(p).value.value for p in players]
     assert h_row == [9, 6, 7, 1, 10, 1, 7]
     # Per-dealer shares are discarded after combination.
@@ -68,7 +68,7 @@ def test_combine_local_reference_row():
 
 def test_combine_local_single_dealer_is_identity():
     cfg = RunConfig(secrets=(4,), n=3, t=2, d=5, shots=1).resolved()
-    _, players, _ = deal(cfg.secrets, cfg, np.random.default_rng(2))
+    _, players, _ = deal(cfg, np.random.default_rng(2))
     before = [p.dealer_shares[0].value.value for p in players]
     assert [combine_local(p).value.value for p in players] == before
 
@@ -217,11 +217,71 @@ def test_transcript_json_sections():
         (dict(secrets=(2,), n=3, t=2, d=5, qualified=(1, 1)), "distinct"),
         (dict(secrets=(2,), n=3, t=2, d=5, shots=0), "shots"),
         (dict(secrets=(2,), n=3, t=2, d=5, polynomials=((1, 0),)), "constant"),
+        (dict(secrets=(2,), n=3, t=2, d=5, seed=-1), "seed"),
     ],
 )
 def test_config_validation(kwargs, match):
     with pytest.raises(ConfigError, match=match):
         RunConfig(**kwargs).resolved()
+
+
+@pytest.mark.parametrize("bad", [3.0, True, "3"])
+@pytest.mark.parametrize("name", ["n", "t", "d", "shots", "seed"])
+def test_resolved_rejects_non_integer_field(name, bad):
+    kwargs = dict(secrets=(2, 3), n=7, t=3, d=11, shots=4, seed=0)
+    kwargs[name] = bad
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+        RunConfig(**kwargs).resolved()
+
+
+@pytest.mark.parametrize(
+    "name,value,match",
+    [
+        ("secrets", (2.7, 3), r"secrets\[0\] must be an integer, got 2.7"),
+        ("secrets", "12", "secrets must be a list"),
+        ("secrets", (True, 3), r"secrets\[0\] must be an integer"),
+        ("qualified", (1, 2, 3.0), r"qualified\[2\] must be an integer"),
+        ("evaluation_points", (1, 2, 3, "4", 5, 6, 7), r"evaluation_points\[3\]"),
+        ("polynomials", ((2, 1, 1.5), (3, 1, 1)), r"polynomials\[0\]\[2\]"),
+        ("polynomials", (2, 3), r"polynomials\[0\] must be a list"),
+    ],
+)
+def test_resolved_rejects_non_integer_entry(name, value, match):
+    kwargs = dict(secrets=(2, 3), n=7, t=3, d=11)
+    kwargs[name] = value
+    with pytest.raises(ConfigError, match=match):
+        RunConfig(**kwargs).resolved()
+
+
+def test_resolved_accepts_numpy_integers():
+    cfg = RunConfig(secrets=np.array([2, 3]), n=np.int64(7), t=np.int32(3),
+                    d=np.int64(11), shots=np.int64(4)).resolved()
+    assert cfg == RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=4).resolved()
+    assert all(type(v) is int for v in (cfg.n, cfg.t, cfg.d, cfg.shots, *cfg.secrets))
+
+
+def test_from_mapping_applies_overrides():
+    cfg = RunConfig.from_mapping(
+        {"secrets": [2, 3], "n": 7, "t": 3, "d": 11, "shots": 8}, shots=4, seed=1
+    )
+    assert cfg.resolved() == RunConfig(
+        secrets=(2, 3), n=7, t=3, d=11, shots=4, seed=1
+    ).resolved()
+
+
+@pytest.mark.parametrize(
+    "values,match",
+    [
+        ([2, 3], "JSON object, got list"),
+        ("12", "JSON object, got str"),
+        ({"secrets": [1], "n": 3, "t": 2, "qualifed": [1, 2]}, "unknown config key.* qualifed"),
+        ({"secrets": [1], "n": 3, "t": 2, "allow_out_of_range_prime": True}, "unknown"),
+        ({"n": 3}, "missing secrets, t"),
+    ],
+)
+def test_from_mapping_rejects(values, match):
+    with pytest.raises(ConfigError, match=match):
+        RunConfig.from_mapping(values)
 
 
 def test_config_prime_override():

@@ -3,11 +3,8 @@ from hypothesis import given, strategies as st
 
 from qsms.zmod import (
     FieldElement,
-    add,
-    inv,
     is_prime,
     lagrange_coefficient,
-    mul,
     smallest_valid_prime,
 )
 
@@ -23,34 +20,34 @@ def brute_force_inverse(a: int, d: int) -> int:
 
 
 def test_add_paper_pattern():
-    assert add(FieldElement(9, 11), FieldElement(7, 11)).value == 5
+    assert (FieldElement(9, 11) + FieldElement(7, 11)).value == 5
 
 
 def test_add_identity():
-    assert add(FieldElement(0, 11), FieldElement(6, 11)).value == 6
+    assert (FieldElement(0, 11) + FieldElement(6, 11)).value == 6
 
 
 def test_add_derived():
-    assert add(FieldElement(10, 11), FieldElement(10, 11)).value == 9
+    assert (FieldElement(10, 11) + FieldElement(10, 11)).value == 9
 
 
 def test_mul_paper_value():
-    assert mul(FieldElement(9, 11), FieldElement(3, 11)).value == 5
+    assert (FieldElement(9, 11) * FieldElement(3, 11)).value == 5
 
 
 def test_mul_identity():
-    assert mul(FieldElement(1, 11), FieldElement(8, 11)).value == 8
+    assert (FieldElement(1, 11) * FieldElement(8, 11)).value == 8
 
 
 def test_mul_derived():
-    assert mul(FieldElement(7, 11), FieldElement(8, 11)).value == 1
+    assert (FieldElement(7, 11) * FieldElement(8, 11)).value == 1
 
 
 def test_modulus_mismatch_rejected():
     with pytest.raises(ValueError, match="modulus mismatch"):
-        add(FieldElement(1, 11), FieldElement(1, 13))
+        FieldElement(1, 11) + FieldElement(1, 13)
     with pytest.raises(ValueError, match="modulus mismatch"):
-        mul(FieldElement(1, 11), FieldElement(1, 13))
+        FieldElement(1, 11) * FieldElement(1, 13)
 
 
 def test_non_prime_modulus_rejected():
@@ -59,20 +56,20 @@ def test_non_prime_modulus_rejected():
 
 
 def test_inv_examples():
-    assert inv(FieldElement(2, 11)).value == 6
-    assert inv(FieldElement(1, 11)).value == 1
-    assert inv(FieldElement(10, 11)).value == 10
+    assert FieldElement(2, 11).inv().value == 6
+    assert FieldElement(1, 11).inv().value == 1
+    assert FieldElement(10, 11).inv().value == 10
 
 
 def test_inv_zero_rejected():
     with pytest.raises(ZeroDivisionError, match="no inverse of zero"):
-        inv(FieldElement(0, 11))
+        FieldElement(0, 11).inv()
 
 
 @pytest.mark.parametrize("d", SMALL_PRIMES)
 def test_inv_matches_brute_force(d):
     for a in range(1, d):
-        assert inv(FieldElement(a, d)).value == brute_force_inverse(a, d)
+        assert FieldElement(a, d).inv().value == brute_force_inverse(a, d)
 
 
 def test_lagrange_coefficient_forced_by_worked_example():
@@ -106,7 +103,7 @@ def test_lagrange_coefficients_sum_to_one(d, k):
 
 
 def test_smallest_valid_prime_examples():
-    assert smallest_valid_prime(7) == 7
+    assert smallest_valid_prime(7) == 11
     assert smallest_valid_prime(1) == 2
     assert smallest_valid_prime(8) == 11
 
@@ -115,7 +112,7 @@ def test_smallest_valid_prime_examples():
 def test_smallest_valid_prime_in_range(n):
     d = smallest_valid_prime(n)
     assert is_prime(d)
-    assert n <= d <= 2 * n
+    assert n < d <= 2 * n
 
 
 @given(
