@@ -200,8 +200,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError, so it gets the one
+    ``error:`` line of every other usage error; subparsers inherit this."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsms",
         description="Threshold quantum secure multiparty summation simulator",
     )
@@ -255,13 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

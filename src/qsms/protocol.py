@@ -367,6 +367,24 @@ def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     return digits.sum(axis=-1) % d
 
 
+def _json_int_array(values: np.ndarray, depth: int) -> str:
+    """``json.dumps(values.tolist(), indent=2)`` re-indented to ``depth``.
+
+    The nested-list layout is built once as a template of ``%d`` slots and
+    filled with every entry in one ``%``, so no entry passes through the
+    pure-Python encoder that ``json.dumps`` falls back on with an indent.
+    """
+    template = "%d"
+    for axis in reversed(range(values.ndim)):
+        indent = "\n" + "  " * (depth + axis)
+        template = (
+            f"[{indent}  " + f",{indent}  ".join([template] * values.shape[axis])
+            + f"{indent}]"
+            if values.shape[axis] else "[]"
+        )
+    return template % tuple(values.ravel().tolist())
+
+
 @dataclass
 class ProtocolTranscript:
     config: ResolvedConfig
@@ -374,39 +392,60 @@ class ProtocolTranscript:
     combined_shares: list[Share]
     shadows: list[Shadow]
     messages: list[Message]
-    outcomes: np.ndarray  # (shots, t) measured digits
+    outcomes: np.ndarray  # (shots, t) int64 measured digits
     tap_labels: list[tuple]  # per shot, its tap branch's labels; not serialized
-    per_shot_sums: list[int]
+    per_shot_sums: np.ndarray  # (shots,) int64
     result: int
     result_binary: str
     seed: int
 
     def histogram(self) -> dict:
-        rows, counts = np.unique(self.outcomes, axis=0, return_counts=True)
+        d, t = self.config.d, self.config.t
+        # Flat basis indices sort in the order of their digit tuples.
+        flat = self.outcomes @ d ** np.arange(t - 1, -1, -1, dtype=np.int64)
+        indices, counts = np.unique(flat, return_counts=True)
+        rows = qudit.indices_to_digits(indices, d, t).tolist()
         return qudit.histogram_json(
-            dict(zip(map(tuple, rows.tolist()), counts.tolist())),
-            self.config.d, self.config.t, len(self.outcomes), self.seed,
+            dict(zip(map(tuple, rows), counts.tolist())),
+            d, t, len(self.outcomes), self.seed,
         )
+
+    def _items(self) -> list[tuple[str, object]]:
+        """The transcript's top-level (key, value) pairs, in output order;
+        the per-shot values stay int64 arrays."""
+        return [
+            ("config", self.config.to_json()),
+            ("shares", {
+                "dealers": [[s.to_json() for s in row] for row in self.dealer_shares],
+                "combined": [s.to_json() for s in self.combined_shares],
+            }),
+            ("shadows", [s.to_json() for s in self.shadows]),
+            ("messages", [m.to_json() for m in self.messages]),
+            ("histogram", self.histogram()),
+            ("outcomes", self.outcomes),
+            ("per_shot_sums", self.per_shot_sums),
+            ("result", self.result),
+            ("result_binary", self.result_binary),
+            ("seed", self.seed),
+        ]
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_json(),
-            "shares": {
-                "dealers": [[s.to_json() for s in row] for row in self.dealer_shares],
-                "combined": [s.to_json() for s in self.combined_shares],
-            },
-            "shadows": [s.to_json() for s in self.shadows],
-            "messages": [m.to_json() for m in self.messages],
-            "histogram": self.histogram(),
-            "outcomes": self.outcomes.tolist(),
-            "per_shot_sums": self.per_shot_sums,
-            "result": self.result,
-            "result_binary": self.result_binary,
-            "seed": self.seed,
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in self._items()
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, byte for byte."""
+        # An encoded string holds no raw newline, so re-indenting a section
+        # by its newlines is exact.
+        body = ",\n".join(
+            f"  {json.dumps(key)}: "
+            + (_json_int_array(value, 1) if isinstance(value, np.ndarray)
+               else json.dumps(value, indent=2).replace("\n", "\n  "))
+            for key, value in self._items()
+        )
+        return "{\n" + body + "\n}"
 
 
 def run_protocol(
@@ -444,7 +483,7 @@ def run_protocol(
         messages=messages,
         outcomes=phase.digits,
         tap_labels=phase.labels,
-        per_shot_sums=sums.tolist(),
+        per_shot_sums=sums,
         result=result,
         result_binary=format(result, "b"),
         seed=cfg.seed,

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qsms import adversary
 from qsms.adversary import (
     ThresholdReachedError,
     collusion_inference,
@@ -148,6 +149,36 @@ def test_intercept_resend_attacker_sees_uniform_d11():
     assert report.passed
     assert report.details["honest_result"] == 5
     assert abs(report.guess_rate - 1 / 11) < 0.05
+
+
+def _margin_reports():
+    """Each report with the statistic its uniformity bound checks."""
+    intercept = intercept_and_measure([(2, 3), (7, 9)], n=7, t=3, d=11,
+                                      shots=20_000, seed=0)
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16, seed=5)
+    resend = intercept_resend(cfg, tap_position=2, shots=2048, seed=6)
+    return [(intercept, max(intercept.tv_distances.values())),
+            (resend, resend.tv_distances["attacker vs uniform"])]
+
+
+def test_attack_reports_bound_margins():
+    for report, tv in _margin_reports():
+        details = report.details
+        assert details["tv_margin"] == details["tv_bound"] - tv
+        assert details["guess_rate_margin"] == (
+            details["guess_rate_bound"] - abs(report.guess_rate - report.baseline)
+        )
+        assert report.passed and min(details["tv_margin"],
+                                     details["guess_rate_margin"]) >= 0
+
+
+@pytest.mark.parametrize("bound", ["uniformity_bound", "guess_rate_bound"])
+def test_negative_margin_fails_the_report(bound, monkeypatch):
+    monkeypatch.setattr(adversary, bound, lambda d, shots: 0.0)
+    margin = "tv_margin" if bound == "uniformity_bound" else "guess_rate_margin"
+    for report, _ in _margin_reports():
+        assert report.details[margin] < 0
+        assert not report.passed
 
 
 def test_no_tap_control_identical_to_honest():

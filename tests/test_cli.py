@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsms
 from qsms import qudit
 from qsms.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -208,6 +213,39 @@ def test_attack_rejects_bad_inputs(argv, message, capsys):
     assert message in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run", "--n", "x"], "error: argument --n: invalid int value: 'x'\n"),
+        (["run", "--format", "yaml"], "error: argument --format: invalid choice: 'yaml'"),
+        (["attack", "--shots", "16"],
+         "error: the following arguments are required: --kind\n"),
+    ],
+)
+def test_malformed_flags_give_one_error_line(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert _single_error_line(capsys).startswith(message)
+
+
+def test_help_exits_ok(capsys):
+    assert main(["run", "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: qsms run")
+
+
+def test_attack_report_independent_of_hash_seed():
+    # A sum over a set of string keys once followed the interpreter's
+    # per-process hash seed, changing the last digit of a distance.
+    env = {**os.environ, "PYTHONPATH": str(Path(qsms.__file__).parents[1])}
+    argv = [sys.executable, "-c", "from qsms.cli import entry_point; entry_point()",
+            "attack", "--kind", "intercept-resend", "--shots", "5000"]
+    outputs = {
+        subprocess.run(argv, env={**env, "PYTHONHASHSEED": seed}, check=True,
+                       capture_output=True, text=True).stdout
+        for seed in ("0", "2")
+    }
+    assert len(outputs) == 1
+
+
 # Fuzzed inputs stay small: shots <= 64, d <= 31, t <= 4, no subprocesses.
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 _INT = st.integers(-1, 40)
@@ -221,6 +259,9 @@ _JSON = st.one_of(st.none(), st.booleans(), _INT, st.floats(-1, 40), st.text(max
                   _INTS, _ROWS, st.lists(st.floats(0, 12), max_size=3))
 _CONFIG_KEYS = ["n", "t", "d", "shots", "seed", "secrets", "qualified",
                 "evaluation_points", "polynomials", "qualifed"]
+# Flag values argparse itself rejects, or parses into something odd.
+_MALFORMED = st.one_of(st.sampled_from(["x", "1.5", "", "2;x", "1,a", "--n", "0x1"]),
+                       st.text(max_size=4))
 
 
 @st.composite
@@ -249,21 +290,21 @@ def _cli_argv(draw) -> tuple[list[str], object]:
     values = draw(_valid_inputs())
     if draw(st.booleans()):
         attack = ["intercept", "intercept-resend", "collusion"]
-        argv = ["attack", "--kind", draw(st.sampled_from(attack))]
+        argv = ["attack", "--kind", draw(st.sampled_from([*attack, "spy"]))]
         for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=2)):
-            values[key] = draw(_FLAG_VALUES[key])
+            values[key] = draw(st.one_of(_FLAG_VALUES[key], _MALFORMED))
         flags = {"shots"} | draw(st.sets(st.sampled_from(sorted(values))))
         return argv + [_flag(k, values[k]) for k in sorted(flags)], None
-    argv = ["run", "--format", draw(st.sampled_from(["json", "csv", "pretty"]))]
+    argv = ["run", "--format", draw(st.sampled_from(["json", "csv", "pretty", "yaml"]))]
     del values["colluders"], values["secret-pairs"]
     in_file = draw(st.sets(st.sampled_from(sorted(values))))
     flags = {k: v for k, v in values.items() if k not in in_file}
     config = {k: v for k, v in values.items() if k in in_file}
-    # Up to two inputs replaced: a flag's by an integer or integer list (what
-    # argparse accepts), a config key's by any JSON value.
+    # Up to two inputs replaced: a flag's by an integer, an integer list or a
+    # malformed value, a config key's by any JSON value.
     for key in draw(st.lists(st.sampled_from(_CONFIG_KEYS), max_size=2)):
         if key in _FLAG_VALUES and draw(st.booleans()):
-            flags[key] = draw(_FLAG_VALUES[key])
+            flags[key] = draw(st.one_of(_FLAG_VALUES[key], _MALFORMED))
         else:
             config[key] = draw(st.one_of(_FLAG_VALUES.get(key, _INTS), _JSON))
     if draw(st.integers(0, 9)) == 0:

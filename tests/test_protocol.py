@@ -1,14 +1,18 @@
 import itertools
+import json
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qsms.protocol import (
     ConfigError,
     Message,
     RunConfig,
+    _json_int_array,
     aggregate,
     combine_local,
     deal,
@@ -17,7 +21,12 @@ from qsms.protocol import (
     run_protocol,
     run_quantum_phase,
 )
-from qsms.qudit import DimensionGuardError, analytic_post_transform_state
+from qsms.qudit import (
+    DimensionGuardError,
+    analytic_post_transform_state,
+    collapse_branches,
+    histogram_json,
+)
 from qsms.shamir import reconstruct
 
 PAPER_CONFIG = RunConfig(
@@ -204,6 +213,65 @@ def test_transcript_json_sections():
         assert key in doc
     assert doc["histogram"]["shots"] == 32
     assert all("-" in label for label in doc["histogram"]["counts"])
+
+
+_ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def _transcripts(draw):
+    """An honest run (t=2..4, d <= 31, 1..300 shots) or an intercept-resend
+    run tapping position 2, whose per-shot sums vary."""
+    tapped = draw(st.booleans())
+    t = draw(st.integers(2, 4))
+    # A tap holds d branches of d^t amplitudes at once; keep them small.
+    d = draw(st.sampled_from([p for p in _ODD_PRIMES
+                              if t < p and (not tapped or p ** (t + 1) <= 2**16)]))
+    n = draw(st.integers(t, d - 1))
+    secrets = tuple(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3)))
+    cfg = RunConfig(secrets=secrets, n=n, t=t, d=d, shots=draw(st.integers(1, 300)),
+                    seed=draw(st.integers(0, 2**32)), allow_out_of_range_prime=True)
+
+    def tap(state, position):
+        return collapse_branches(state, position) if position == 2 else [(1.0, None, state)]
+
+    return run_protocol(cfg, tap=tap if tapped else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(transcript=_transcripts())
+def test_to_json_matches_stdlib_encoder(transcript):
+    """The stdlib encoder is the oracle for the bulk writer's bytes."""
+    text = transcript.to_json()
+    assert text == json.dumps(transcript.to_dict(), indent=2)
+    assert json.loads(text) == transcript.to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(transcript=_transcripts())
+def test_histogram_matches_row_unique_oracle(transcript):
+    cfg = transcript.config
+    rows, counts = np.unique(transcript.outcomes, axis=0, return_counts=True)
+    oracle = histogram_json(dict(zip(map(tuple, rows.tolist()), counts.tolist())),
+                            cfg.d, cfg.t, len(transcript.outcomes), transcript.seed)
+    # Compared as JSON text, so the order of the counts counts too.
+    assert json.dumps(transcript.histogram()) == json.dumps(oracle)
+
+
+@given(values=hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                   max_side=4)),
+       depth=st.integers(0, 2))
+def test_json_int_array_matches_stdlib_encoder(values, depth):
+    expected = json.dumps(values.tolist(), indent=2).replace("\n", "\n" + "  " * depth)
+    assert _json_int_array(values, depth) == expected
+
+
+def test_resolved_61_bit_prime_returns_promptly():
+    start = time.perf_counter()
+    cfg = RunConfig(secrets=(1,), n=7, t=3, d=2**61 - 1,
+                    allow_out_of_range_prime=True).resolved()
+    assert cfg.d == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

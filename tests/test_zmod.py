@@ -129,3 +129,34 @@ def test_field_axioms(d, a, b, c):
     assert ((fa * fb) * fc).value == (fa * (fb * fc)).value
     if fa.value != 0:
         assert (fa * fa.inv()).value == 1
+
+
+def _trial_division(n: int) -> bool:
+    """Independent oracle: no divisor in 2..sqrt(n)."""
+    return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 2**61 - 1, 2**64 - 59])
+def test_is_prime_large_primes(n):
+    assert is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,  # Carmichael
+        321197185,  # Carmichael
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 23
+        4294967291 * 4294967279,  # two primes just below 2^32
+        (2**31 - 1) ** 2,
+    ],
+)
+def test_is_prime_rejects_pseudoprimes_and_composites(n):
+    assert not is_prime(n)
