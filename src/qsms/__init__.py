@@ -1,6 +1,7 @@
-"""Desk-scale simulator for a (t,n)-threshold quantum secure multiparty
-summation protocol: prime-field secret sharing, a qudit state-vector
-engine, a protocol orchestrator, and an adversary harness.
+"""Simulator for a (t,n)-threshold quantum secure multiparty summation
+protocol: prime-field secret sharing, an affine-subspace engine for the
+quantum phase with a dense qudit state-vector engine as its oracle, a
+protocol orchestrator, and an adversary harness.
 """
 from .zmod import FieldElement, lagrange_coefficient, smallest_valid_prime
 from .shamir import (

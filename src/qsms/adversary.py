@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import qudit
+from . import affine
 from .protocol import RunConfig, post_transform_branches, prepare_run, run_protocol
 from .shamir import Share
+from .zmod import row_reduce
 
 
 class ThresholdReachedError(ValueError):
@@ -133,7 +134,7 @@ def intercept_and_measure(
     def tap(state, position):
         # The attacker reads the leg's marginal and lets the state pass.
         if position == tap_position:
-            in_flight.append(qudit.marginal_distribution(state, position))
+            in_flight.append(affine.marginal_distribution(state, position))
         return [(1.0, None, state)]
 
     rng = np.random.default_rng(configs[0].seed)
@@ -196,12 +197,14 @@ def intercept_resend(
         # the "clone" particle sent onward.
         if position != tap_position:
             return [(1.0, None, state)]
-        return qudit.collapse_branches(state, position)
+        return affine.collapse_branches(state, position)
 
     attacked = run_protocol(attacked_cfg, tap=tap)
-    attacker_counts = Counter(
-        labels[tap_position - 2] for labels in attacked.tap_labels
-    )
+    attacker_counts: Counter = Counter()
+    per_branch = np.bincount(attacked.tap_branch, minlength=len(attacked.tap_labels))
+    for labels, count in zip(attacked.tap_labels, per_branch.tolist()):
+        if count:
+            attacker_counts[labels[tap_position - 2]] += count
     aggregate_counts = Counter(attacked.per_shot_sums.tolist())
 
     d, shots = cfg.d, attacked_cfg.shots
@@ -230,15 +233,11 @@ def intercept_resend(
     )
 
 
-# Enumerating d^t candidate polynomials; keep it desk-scale.
-_ENUMERATION_GUARD = 10**6
-
-
 def collusion_inference(
     colluder_shares: Sequence[Share], t: int, d: int
 ) -> AttackReport:
-    """Exhaust all dealer polynomials consistent with a sub-threshold
-    coalition's shares and report the surviving candidate secrets.
+    """Count the dealer polynomials consistent with a sub-threshold
+    coalition's shares, per candidate secret, and report the survivors.
 
     Broadcast values reveal only the public sum, which constrains no
     individual dealer secret, so every residue should survive.
@@ -247,18 +246,24 @@ def collusion_inference(
         raise ThresholdReachedError(
             "threshold reached; reconstruction is legitimate"
         )
-    if d**t > _ENUMERATION_GUARD:
-        raise ValueError(f"enumeration of {d}^{t} polynomials exceeds guard")
-    # Row c of ``coeffs`` is candidate c, constant term first, in the order
-    # of itertools.product(range(d), repeat=t).
-    coeffs = qudit.indices_to_digits(np.arange(d**t), d, t)
-    xs = np.array([s.x.value for s in colluder_shares], dtype=np.int64)
-    ys = np.array([s.value.value for s in colluder_shares], dtype=np.int64)
-    powers = xs ** np.arange(t)[:, None] % d  # (t, colluders): x^j mod d
-    consistent = (coeffs @ powers % d == ys).all(axis=1)
-    counts = np.bincount(coeffs[consistent, 0], minlength=d).tolist()
-    candidates = {s: c for s, c in enumerate(counts) if c}
-    candidate_count, total = len(candidates), sum(counts)
+    # Coefficients a_0..a_{t-1}, secret s = a_0: the shares say
+    # sum_{j>=1} x^j a_j + s = y at each colluder's x. Row reduce
+    # [x^1 .. x^{t-1} | 1 | y] with the s column after the other unknowns.
+    system = np.array(
+        [[pow(share.x.value, j, d) for j in (*range(1, t), 0)] + [share.value.value]
+         for share in colluder_shares],
+        dtype=np.int64,
+    ).reshape(len(colluder_shares), t + 1)
+    reduced, pivots = row_reduce(system, d)
+    rank = sum(p < t - 1 for p in pivots)
+    # The rows with no pivot among a_1..a_{t-1} say alpha * s = beta; each
+    # secret satisfying all of them leaves d^(t-1-rank) polynomials.
+    alpha, beta = reduced[rank:, t - 1], reduced[rank:, t]
+    secrets = np.arange(d, dtype=np.int64)
+    consistent = ((secrets[:, None] * alpha - beta) % d == 0).all(axis=1)
+    per_secret = d ** (t - 1 - rank)
+    candidates = {s: per_secret for s in np.flatnonzero(consistent).tolist()}
+    candidate_count, total = len(candidates), per_secret * len(candidates)
     dist = {str(s): c / total for s, c in candidates.items()}
     passed = candidate_count == d
     return AttackReport(

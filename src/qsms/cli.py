@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import qudit
+from . import affine, qudit
 from .adversary import (
     ThresholdReachedError,
     collusion_inference,
@@ -104,8 +104,10 @@ def _render_table(transcript) -> str:
 
 def _emit_transcript(transcript, args) -> None:
     fmt = getattr(args, "format", "pretty")
+    output = getattr(args, "output", None)
+    text = transcript.to_json() if fmt == "json" or output else None
     if fmt == "json":
-        print(transcript.to_json())
+        print(text)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -115,7 +117,7 @@ def _emit_transcript(transcript, args) -> None:
         print(buf.getvalue(), end="")
     else:
         print(_render_table(transcript))
-    _write_output(getattr(args, "output", None), transcript.to_json())
+    _write_output(output, text)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -179,8 +181,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         shares = run_protocol(replace(cfg, shots=1)).combined_shares
         report = collusion_inference([shares[i - 1] for i in colluders],
                                      t=cfg.t, d=cfg.d)
-    print(report.to_json())
-    _write_output(args.output, report.to_json())
+    text = report.to_json()
+    print(text)
+    _write_output(args.output, text)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -189,13 +192,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     shadows = list(args.shadows)
     if len(shadows) != t:
         raise ConfigError(f"expected {t} shadows, got {len(shadows)}")
-    [(_, _, state)] = post_transform_branches(shadows, d)
+    state = qudit.post_transform_state(shadows, d)
     analytic = qudit.analytic_post_transform_state(t, d, shadows)
     max_diff = float(np.max(np.abs(state.amplitudes - analytic.amplitudes)))
     support = int(np.sum(np.abs(state.amplitudes) > 1e-12))
+    # The protocol's own engine must put its outcomes on the same support.
+    [(_, _, outcomes)] = post_transform_branches(shadows, d)
+    same_support = np.array_equal(affine.support_mask(outcomes),
+                                  np.abs(analytic.amplitudes) > 1e-12)
     print(f"max amplitude difference: {max_diff:.3e}")
     print(f"support size: {support} (expected {d ** (t - 1)})")
-    ok = max_diff <= 1e-9 and support == d ** (t - 1)
+    ok = max_diff <= 1e-9 and support == d ** (t - 1) and same_support
     print("verification passed" if ok else "verification FAILED")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -17,8 +17,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import qudit
-from .qudit import QuditState
+from . import affine, qudit
+from .affine import AffineState
 from .shamir import Polynomial, Share, Shadow, add_shares, compute_shadow, generate_shares
 from .zmod import is_prime, smallest_valid_prime
 
@@ -26,7 +26,7 @@ from .zmod import is_prime, smallest_valid_prime
 # [(probability, label, state), ...], the weighted branches the send turns
 # into, their probabilities summing to 1. An identity tap returns
 # [(1.0, None, state)]. The honest path installs none.
-QuantumTap = Callable[[QuditState, int], list[tuple[float, Hashable, QuditState]]]
+QuantumTap = Callable[[AffineState, int], list[tuple[float, Hashable, AffineState]]]
 
 
 class ConfigError(ValueError):
@@ -277,8 +277,8 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
 
 def post_transform_branches(
     shadows: Sequence[int], d: int, tap: QuantumTap | None = None
-) -> list[tuple[float, tuple, QuditState]]:
-    """Steps 4-5, simulated once per tap branch.
+) -> list[tuple[float, tuple, AffineState]]:
+    """Steps 4-5, simulated once per tap branch on affine states.
 
     The initiator prepares the GHZ state and sends legs 2..t through
     ``tap``; then the player in slot u applies the QFT and X^{shadow_u}.
@@ -287,39 +287,18 @@ def post_transform_branches(
     weight 1.
     """
     t = len(shadows)
-    branches = [(1.0, (), qudit.prepare_ghz(t, d))]
+    branches = [(1.0, (), affine.prepare_ghz(t, d))]
     if tap is not None:
         for position in range(2, t + 1):
-            branches = [
-                (weight * p, labels + (label,), out)
-                for weight, labels, state in branches
-                for p, label, out in tap(state, position)
-            ]
-            # The branches count against the guard, checked before the
-            # next send multiplies them again.
-            qudit.check_guard(d, t, len(branches))
-    # Rebinding the list after each gate frees the previous states, so at
-    # most two generations of every branch are alive at once.
-    for position, shadow in enumerate(shadows, start=1):
-        branches = [(w, lb, qudit.apply_qft(s, position)) for w, lb, s in branches]
-        branches = [(w, lb, qudit.apply_shift(s, position, shadow))
-                    for w, lb, s in branches]
-    return branches
-
-
-def phase_distribution(
-    shadows: Sequence[int], d: int, tap: QuantumTap | None = None
-) -> tuple[np.ndarray, list[tuple]]:
-    """The joint outcome distribution of every branch, shape (branches, d^t).
-
-    Row b is branch b's probability times the measurement distribution of
-    its post-transform state. Also returns each branch's labels.
-    """
-    branches = post_transform_branches(shadows, d, tap)
-    joint = np.empty((len(branches), d ** len(shadows)))
-    for row, (weight, _, state) in zip(joint, branches):
-        np.multiply(state.probabilities(), weight, out=row)
-    return joint, [labels for _, labels, _ in branches]
+            tapped = []
+            for weight, labels, state in branches:
+                tapped.extend((weight * p, labels + (label,), out)
+                              for p, label, out in tap(state, position))
+                # Checked as the send multiplies the branches, before the
+                # next send multiplies them again.
+                affine.check_branches(len(tapped))
+            branches = tapped
+    return [(w, lb, affine.fourier_shift(s, shadows)) for w, lb, s in branches]
 
 
 @dataclass(frozen=True)
@@ -327,7 +306,8 @@ class PhaseOutcomes:
     """Step 6 for every shot: the measured digits and the tap branch drawn."""
 
     digits: np.ndarray  # (shots, t) int64, qudit 1 first
-    labels: list[tuple]  # per shot, the labels of its tap branch
+    branch: np.ndarray  # (shots,) int64 index into labels
+    labels: list[tuple]  # per tap branch, the labels of its sends
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -340,19 +320,23 @@ def run_quantum_phase(
     rng: np.random.Generator,
     tap: QuantumTap | None = None,
 ) -> PhaseOutcomes:
-    """Steps 4-6: simulate each tap branch once, then draw all shots in one call.
+    """Steps 4-6: simulate each tap branch once, draw every shot's branch in
+    one call, then every branch's shots in one call.
 
     ``tap`` intercepts the initiator's particle sends (positions 2..t)
     before any QFT is applied; it is how adversaries are wired in.
     """
-    joint, labels = phase_distribution(shadows, d, tap)
-    branch, index = np.divmod(
-        qudit.sample_indices(joint.reshape(-1), shots, rng), joint.shape[1]
-    )
-    return PhaseOutcomes(
-        qudit.indices_to_digits(index, d, len(shadows)),
-        [labels[b] for b in branch.tolist()],
-    )
+    branches = post_transform_branches(shadows, d, tap)
+    weights = np.array([weight for weight, _, _ in branches])
+    branch = qudit.sample_indices(weights, shots, rng)
+    # Shots grouped by branch, in shot order within each branch.
+    order = np.argsort(branch, kind="stable")
+    digits = np.empty((shots, len(shadows)), dtype=np.int64)
+    start = 0
+    for (_, _, state), count in zip(branches, np.bincount(branch).tolist()):
+        digits[order[start:start + count]] = affine.sample(state, count, rng)
+        start += count
+    return PhaseOutcomes(digits, branch, [labels for _, labels, _ in branches])
 
 
 def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
@@ -393,7 +377,9 @@ class ProtocolTranscript:
     shadows: list[Shadow]
     messages: list[Message]
     outcomes: np.ndarray  # (shots, t) int64 measured digits
-    tap_labels: list[tuple]  # per shot, its tap branch's labels; not serialized
+    # Not serialized: each shot's tap branch, and each branch's labels.
+    tap_branch: np.ndarray  # (shots,) int64 index into tap_labels
+    tap_labels: list[tuple]
     per_shot_sums: np.ndarray  # (shots,) int64
     result: int
     result_binary: str
@@ -401,12 +387,16 @@ class ProtocolTranscript:
 
     def histogram(self) -> dict:
         d, t = self.config.d, self.config.t
-        # Flat basis indices sort in the order of their digit tuples.
-        flat = self.outcomes @ d ** np.arange(t - 1, -1, -1, dtype=np.int64)
-        indices, counts = np.unique(flat, return_counts=True)
-        rows = qudit.indices_to_digits(indices, d, t).tolist()
+        if d**t <= 2**63:
+            # Flat basis indices fit in int64 and sort in the order of
+            # their digit tuples.
+            flat = self.outcomes @ d ** np.arange(t - 1, -1, -1, dtype=np.int64)
+            indices, counts = np.unique(flat, return_counts=True)
+            rows = qudit.indices_to_digits(indices, d, t)
+        else:
+            rows, counts = np.unique(self.outcomes, axis=0, return_counts=True)
         return qudit.histogram_json(
-            dict(zip(map(tuple, rows), counts.tolist())),
+            dict(zip(map(tuple, rows.tolist()), counts.tolist())),
             d, t, len(self.outcomes), self.seed,
         )
 
@@ -482,6 +472,7 @@ def run_protocol(
         ],
         messages=messages,
         outcomes=phase.digits,
+        tap_branch=phase.branch,
         tap_labels=phase.labels,
         per_shot_sums=sums,
         result=result,

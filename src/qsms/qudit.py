@@ -154,6 +154,15 @@ def apply_shift(state: QuditState, position: int, m: int) -> QuditState:
     return QuditState(d, t, out.reshape(-1), norm_tol=OPERATION_NORM_TOL)
 
 
+def post_transform_state(shadows: Sequence[int], d: int) -> QuditState:
+    """Steps 4-5 on the dense engine: the GHZ state, then the QFT and
+    X^{shadow_u} on every qudit u."""
+    state = prepare_ghz(len(shadows), d)
+    for position, shadow in enumerate(shadows, start=1):
+        state = apply_shift(apply_qft(state, position), position, shadow)
+    return state
+
+
 def analytic_post_transform_state(t: int, d: int,
                                   shadows: Sequence[int]) -> QuditState:
     """Closed form of the state after per-qudit QFT + shift on the GHZ state.

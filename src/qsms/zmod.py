@@ -8,8 +8,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 # Moduli must fit in a 64-bit machine word.
 _MAX_MODULUS = 2**63 - 1
+# Bulk int64 arithmetic is exact below this modulus: a product of two
+# residues stays below 2^62.
+INT64_MODULUS_BOUND = 2**31
 
 
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10^24, so for
@@ -120,3 +125,30 @@ def smallest_valid_prime(n: int) -> int:
     if n < 1:
         raise ValueError("player count must be >= 1")
     return next(d for d in range(n + 1, 2 * n + 1) if is_prime(d))
+
+
+def row_reduce(matrix, d: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 2-D integer matrix over Z_d, d prime.
+
+    Returns the nonzero rows of the form, every entry in [0, d), and the
+    column of each row's leading 1, pivoting on columns left to right.
+    Computed in int64, so d must be below 2^31.
+    """
+    if not 2 <= d < INT64_MODULUS_BOUND:
+        raise ValueError(f"modulus {d} outside [2, 2^31) for int64 row reduction")
+    m = np.array(matrix, dtype=np.int64) % d
+    pivots: list[int] = []
+    for col in range(m.shape[1]):
+        rank = len(pivots)
+        if rank == m.shape[0]:
+            break
+        below = np.flatnonzero(m[rank:, col])
+        if below.size == 0:
+            continue
+        m[[rank, rank + below[0]]] = m[[rank + below[0], rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, d) % d
+        factors = m[:, col].copy()
+        factors[rank] = 0
+        m = (m - factors[:, None] * m[rank]) % d
+        pivots.append(col)
+    return m[: len(pivots)], pivots

@@ -12,9 +12,9 @@ from qsms.adversary import (
     tv_distance,
     uniformity_bound,
 )
-from qsms.protocol import ConfigError, RunConfig, phase_distribution, run_protocol
+from qsms.affine import AffineState, collapse_branches, support_mask
+from qsms.protocol import ConfigError, RunConfig, post_transform_branches, run_protocol
 from qsms.qudit import (
-    collapse_branches,
     digits_to_index,
     index_to_digits,
     indices_to_digits,
@@ -63,14 +63,12 @@ def test_intercept_secret_independence():
 def test_intercept_observes_the_state_the_protocol_sends(monkeypatch):
     # A protocol that sent |0...0> instead of the GHZ state would hand the
     # eavesdropper a fixed digit; the check must catch it.
-    from qsms import qudit
+    from qsms import affine
 
     def product_state(t, d):
-        amplitudes = np.zeros(d**t)
-        amplitudes[0] = 1.0
-        return qudit.QuditState(d, t, amplitudes)
+        return AffineState(d, np.zeros(t, dtype=np.int64), np.zeros((0, t), dtype=np.int64))
 
-    monkeypatch.setattr(qudit, "prepare_ghz", product_state)
+    monkeypatch.setattr(affine, "prepare_ghz", product_state)
     report = intercept_and_measure([(2, 3), (7, 9)], n=7, t=3, d=11, shots=1000)
     assert not report.passed
     assert report.guess_rate == 1.0
@@ -105,11 +103,13 @@ def test_collapse_branches_aggregate_equals_exact_oracle(d):
     # Exact, no sampling: weight each branch's post-transform distribution
     # and fold it onto the aggregate digit sum.
     shadows = (1, d - 1)
-    joint, labels = phase_distribution(shadows, d, tap=collapse_branches)
-    assert labels == [(c,) for c in range(d)]
-    np.testing.assert_allclose(joint.sum(axis=1), np.full(d, 1 / d), atol=1e-12)
+    branches = post_transform_branches(shadows, d, tap=collapse_branches)
+    assert [labels for _, labels, _ in branches] == [(c,) for c in range(d)]
+    weights = np.array([weight for weight, _, _ in branches])
+    np.testing.assert_allclose(weights, np.full(d, 1 / d), atol=1e-12)
+    joint = sum(w * support_mask(s) / support_mask(s).sum() for w, _, s in branches)
     sums = indices_to_digits(np.arange(d**2), d, 2).sum(axis=1) % d
-    dist = np.bincount(sums, weights=joint.sum(axis=0), minlength=d)
+    dist = np.bincount(sums, weights=joint, minlength=d)
     oracle = exact_attacked_aggregate(d, 2, shadows)
     assert max(abs(dist[s] - oracle[s]) for s in range(d)) <= 1e-12
 
@@ -224,6 +224,22 @@ def test_collusion_matches_enumeration_oracle(d, t, k):
     assert report.distributions["candidate_secrets"] == {
         str(s): c / sum(oracle.values()) for s, c in sorted(oracle.items())
     }
+
+
+def test_collusion_counts_beyond_enumeration():
+    # 101^50 candidate polynomials: far too many to enumerate. 49 colluders
+    # leave exactly one polynomial per secret.
+    d, t = 101, 50
+    coeffs = np.random.default_rng(50).integers(0, d, size=t).tolist()
+    shares = [Share(FieldElement(x, d), FieldElement(
+        sum(c * pow(x, j, d) for j, c in enumerate(coeffs)), d)) for x in range(1, t)]
+    report = collusion_inference(shares, t=t, d=d)
+    assert report.passed
+    assert report.details["candidates"] == list(range(d))
+    # One colluder fewer: d polynomials per secret, the same distribution.
+    assert collusion_inference(shares[1:], t=t, d=d).to_dict() == {
+        **report.to_dict(), "scenario": {**report.to_dict()["scenario"],
+                                         "target": "48 colluders"}}
 
 
 def test_collusion_inconsistent_shares_fail():

@@ -6,14 +6,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsms
-from qsms import qudit
+from qsms.adversary import AttackReport
 from qsms.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from qsms.protocol import ProtocolTranscript
 
 
 def test_demo_matches_reference(capsys):
@@ -150,14 +150,44 @@ def test_attack_intercept_resend_runs_every_shot(capsys):
 
 
 def test_attack_collapse_branches_hit_guard(monkeypatch, capsys):
-    # 11 collapse branches of an 11^3 state exceed a guard of 5 * 11^3
-    # before any branch state is built.
-    from qsms import qudit
+    # 11 collapse branches exceed a guard of 10 before any branch is built.
+    from qsms import affine
 
-    monkeypatch.setattr(qudit, "DIMENSION_GUARD", 5 * 11**3)
+    monkeypatch.setattr(affine, "BRANCH_GUARD", 10)
     assert main(["attack", "--kind", "intercept-resend", "--shots", "16"]) == EXIT_GUARD
     err = capsys.readouterr().err
-    assert err.startswith("error: 11 branches of") and err.count("\n") == 1
+    assert err == "error: 11 tap branches exceed guard 10\n"
+
+
+def test_verify_guard_holds_beyond_int64_modulus(capsys):
+    assert main(["verify", "--d", str(2**31 + 11), "--t", "2",
+                 "--shadows", "0,0"]) == EXIT_GUARD
+    assert capsys.readouterr().err.startswith("error: state dimension")
+
+
+@pytest.mark.parametrize(
+    "cls,argv",
+    [
+        (ProtocolTranscript, ["run", "--secrets", "1,2", "--n", "4", "--t", "2",
+                              "--d", "5", "--shots", "8", "--format", "json"]),
+        (AttackReport, ["attack", "--kind", "intercept", "--shots", "100"]),
+        (AttackReport, ["attack", "--kind", "intercept-resend", "--shots", "100"]),
+        (AttackReport, ["attack", "--kind", "collusion", "--colluders", "2,3"]),
+    ],
+)
+def test_output_serialized_once(cls, argv, tmp_path, monkeypatch, capsys):
+    calls = []
+    to_json = cls.to_json
+
+    def counted(self):
+        calls.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(cls, "to_json", counted)
+    out_file = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out_file)]) == EXIT_OK
+    assert len(calls) == 1
+    assert capsys.readouterr().out == out_file.read_text() + "\n"
 
 
 @pytest.mark.parametrize("kind", ["intercept", "intercept-resend", "collusion"])
@@ -321,9 +351,7 @@ def test_cli_fuzz_exits_cleanly(case, tmp_path_factory):
         path.write_text(json.dumps(config))
         argv = [*argv, "--config", str(path)]
     out, err = io.StringIO(), io.StringIO()
-    # A lower guard keeps every simulated state small; runs past it exit 3.
-    with mock.patch.object(qudit, "DIMENSION_GUARD", 2**16), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in {EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_VERIFY}
     assert "Traceback" not in err.getvalue()

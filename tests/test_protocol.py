@@ -2,10 +2,11 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qsms.protocol import (
@@ -16,17 +17,14 @@ from qsms.protocol import (
     aggregate,
     combine_local,
     deal,
-    phase_distribution,
+    post_transform_branches,
     prepare_run,
     run_protocol,
     run_quantum_phase,
 )
-from qsms.qudit import (
-    DimensionGuardError,
-    analytic_post_transform_state,
-    collapse_branches,
-    histogram_json,
-)
+from qsms import affine
+from qsms.affine import collapse_branches, support_mask
+from qsms.qudit import DimensionGuardError, analytic_post_transform_state, histogram_json
 from qsms.shamir import reconstruct
 
 PAPER_CONFIG = RunConfig(
@@ -115,23 +113,39 @@ SMALL_SHAPES = [(d, t) for d in (2, 3, 5, 7, 11, 13) for t in range(1, 13)
 def test_sampled_distribution_matches_analytic_state(data):
     d, t = data.draw(st.sampled_from(SMALL_SHAPES))
     shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
-    joint, labels = phase_distribution(shadows, d)
+    [(weight, labels, state)] = post_transform_branches(shadows, d)
+    support = support_mask(state)
     analytic = np.abs(analytic_post_transform_state(t, d, shadows).amplitudes) ** 2
-    assert joint.shape == (1, d**t) and labels == [()]
-    np.testing.assert_allclose(joint[0], analytic, rtol=0, atol=1e-9)
+    assert weight == 1.0 and labels == ()
+    np.testing.assert_allclose(support / support.sum(), analytic, rtol=0, atol=1e-9)
     digits = run_quantum_phase(shadows, d, 64, np.random.default_rng(d * t)).digits
     assert digits.shape == (64, t)
     assert (digits.sum(axis=1) % d == sum(shadows) % d).all()
 
 
-def test_tap_branches_count_against_guard():
-    # 4097 branches of a 2^12-amplitude state exceed 2^24; the tap hands
-    # back the same state object, so nothing large is allocated.
-    def tap(state, position):
-        return [(1 / 4097, k, state) for k in range(4097)]
+def test_tap_branches_count_against_guard(monkeypatch):
+    # 65 branches per send: the first send leaves 65, and the second is
+    # stopped as its branches pass 4096, before it multiplies all 65.
+    monkeypatch.setattr(affine, "BRANCH_GUARD", 4096)
+    calls = []
 
-    with pytest.raises(DimensionGuardError, match="branches"):
-        run_quantum_phase([0] * 12, 2, 8, np.random.default_rng(0), tap=tap)
+    def tap(state, position):
+        calls.append(position)
+        return [(1 / 65, k, state) for k in range(65)]
+
+    with pytest.raises(DimensionGuardError, match="4160 tap branches exceed guard 4096"):
+        run_quantum_phase([0] * 3, 2, 8, np.random.default_rng(0), tap=tap)
+    assert calls == [2] + [3] * 64
+
+
+@pytest.mark.parametrize("d", [2**31 + 11, 2**61 - 1])
+def test_quantum_phase_rejects_modulus_beyond_int64(d):
+    # Products of two residues must stay below 2^63, so d < 2^31.
+    cfg = RunConfig(secrets=(1,), n=7, t=3, d=d, shots=4,
+                    allow_out_of_range_prime=True)
+    with pytest.raises(DimensionGuardError, match="2\\^31"):
+        run_protocol(cfg)
+    assert run_protocol(replace(cfg, d=2**31 - 1, shots=4)).result == 1
 
 
 def test_aggregate():
@@ -249,6 +263,8 @@ def test_to_json_matches_stdlib_encoder(transcript):
 
 @settings(max_examples=60, deadline=None)
 @given(transcript=_transcripts())
+# 101^50 > 2^63: flat basis indices would wrap in int64.
+@example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=60, t=50, d=101, shots=8192)))
 def test_histogram_matches_row_unique_oracle(transcript):
     cfg = transcript.config
     rows, counts = np.unique(transcript.outcomes, axis=0, return_counts=True)

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +8,7 @@ from qsms.zmod import (
     FieldElement,
     is_prime,
     lagrange_coefficient,
+    row_reduce,
     smallest_valid_prime,
 )
 
@@ -160,3 +164,29 @@ def test_is_prime_large_primes(n):
 )
 def test_is_prime_rejects_pseudoprimes_and_composites(n):
     assert not is_prime(n)
+
+
+def _span(rows, d):
+    """Oracle: every combination of the rows, enumerated."""
+    return {tuple(np.dot(c, rows) % d)
+            for c in itertools.product(range(d), repeat=len(rows))}
+
+
+@given(d=st.sampled_from([2, 3, 5]), k=st.integers(0, 3), t=st.integers(1, 4),
+       data=st.data())
+def test_row_reduce_matches_span_enumeration(d, k, t, data):
+    matrix = np.array(data.draw(st.lists(st.lists(st.integers(-20, 20), min_size=t,
+                                                  max_size=t), min_size=k, max_size=k)),
+                      dtype=np.int64).reshape(k, t)
+    reduced, pivots = row_reduce(matrix, d)
+    assert reduced.shape == (len(pivots), t) and pivots == sorted(pivots)
+    assert ((reduced >= 0) & (reduced < d)).all()
+    # Each leading 1 is the only nonzero entry of its column.
+    assert (reduced[:, pivots] == np.eye(len(pivots), dtype=np.int64)).all()
+    assert _span(reduced, d) == _span(matrix % d, d)
+    assert len(_span(matrix % d, d)) == d ** len(pivots)
+
+
+def test_row_reduce_rejects_modulus_beyond_int64():
+    with pytest.raises(ValueError, match="2\\^31"):
+        row_reduce(np.ones((1, 2), dtype=np.int64), 2**31 + 11)
