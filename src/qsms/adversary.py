@@ -190,7 +190,8 @@ def intercept_resend(
     if not 2 <= tap_position <= cfg.t:
         raise ValueError(f"tap position must be in 2..{cfg.t}")
 
-    honest = run_protocol(cfg)
+    # Only the honest result is read, and no shot changes it.
+    honest = run_protocol(replace(cfg, shots=1))
 
     def tap(state, position):
         # The attacker's digit labels each branch; the collapsed state is

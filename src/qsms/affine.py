@@ -123,14 +123,23 @@ def fourier_shift(state: AffineState, shadows) -> AffineState:
 def sample(state: AffineState, shots: int, rng: np.random.Generator) -> np.ndarray:
     """``shots`` computational-basis outcomes, shape (shots, t), in one draw:
     offset + r @ basis mod d for uniform r in Z_d^k."""
-    d, basis = state.d, state.basis
+    d, basis, offset = state.d, state.basis, state.offset
     coeffs = rng.integers(0, d, size=(shots, len(basis)))
+    out = np.empty((shots, state.t), dtype=np.int64)
+    # A column of the basis that is a unit vector copies one coefficient (the
+    # dual ``fourier_shift`` builds is the identity on all but its pivot
+    # columns); only the other columns need the product.
+    unit = ((basis != 0).sum(axis=0) == 1) & (basis.sum(axis=0) == 1)
+    _, rows = np.nonzero(basis[:, unit].T)
+    out[:, unit] = (coeffs[:, rows] + offset[unit]) % d
+    rest = ~unit
+    basis, acc = basis[:, rest], np.tile(offset[rest], (shots, 1))
     # Exact in int64: a residue plus a block of ``step`` products stays below 2^63.
     step = max(1, (2**63 - d) // (d - 1) ** 2)
-    out = np.tile(state.offset, (shots, 1))
     for start in range(0, len(basis), step):
-        out += coeffs[:, start:start + step] @ basis[start:start + step]
-        out %= d
+        acc += coeffs[:, start:start + step] @ basis[start:start + step]
+        acc %= d
+    out[:, rest] = acc
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -87,9 +88,9 @@ def _render_table(transcript) -> str:
     lines = []
     header = "Players   " + "".join(f"P{i:<5}" for i in range(1, cfg.n + 1))
     lines.append(header)
-    for k, row in enumerate(transcript.dealer_shares):
+    for k, row in enumerate(transcript.dealer_rows.tolist()):
         label = f"poly_{k + 1}(x_i)"
-        lines.append(f"{label:<10}" + "".join(f"{s.value.value:<6}" for s in row))
+        lines.append(f"{label:<10}" + "".join(f"{v:<6}" for v in row))
     lines.append(
         f"{'h(x_i)':<10}"
         + "".join(f"{s.value.value:<6}" for s in transcript.combined_shares)
@@ -134,8 +135,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     _write_output(args.output, transcript.to_json())
 
     mismatches = []
-    got_f = [s.value.value for s in transcript.dealer_shares[0]]
-    got_g = [s.value.value for s in transcript.dealer_shares[1]]
+    got_f, got_g = transcript.dealer_rows.tolist()
     got_h = [s.value.value for s in transcript.combined_shares]
     got_shadows = [s.value.value for s in transcript.shadows]
     for name, got, want in (
@@ -215,7 +215,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qsms`` parser, built on the first call and shared after it."""
     parser = _Parser(
         prog="qsms",
         description="Threshold quantum secure multiparty summation simulator",

@@ -19,8 +19,11 @@ import numpy as np
 
 from . import affine, qudit
 from .affine import AffineState
-from .shamir import Polynomial, Share, Shadow, add_shares, compute_shadow, generate_shares
-from .zmod import is_prime, smallest_valid_prime
+from .shamir import Share, Shadow
+# Not called here: perfbench/tracer.py patches these names in this module
+# until it is rebuilt on spans (ROADMAP item 1).
+from .shamir import add_shares, compute_shadow, generate_shares  # noqa: F401
+from .zmod import FieldElement, is_prime, lagrange_weights, residues, smallest_valid_prime
 
 # Middleware hook on the initiator's quantum sends: (state, position) ->
 # [(probability, label, state), ...], the weighted branches the send turns
@@ -197,7 +200,6 @@ class PlayerState:
     """One player's private record; never holds another player's data."""
 
     index: int
-    dealer_shares: list[Share] | None = None
     combined: Share | None = None
     shadow: Shadow | None = None
     position: int | None = None
@@ -208,71 +210,72 @@ class PreparedRun:
     """Result of the classical phase (Steps 1-3)."""
 
     config: ResolvedConfig
-    dealer_shares: list[list[Share]]  # one row per dealer
+    dealer_rows: np.ndarray  # (dealers, n): dealer k's share for player i
     players: list[PlayerState]
     messages: list[Message]
     shadows: list[int] = field(default_factory=list)
 
 
+def _share_json(points: list[int], values: list[int], d: int) -> list[dict]:
+    """``Share.to_json()`` of each (point, value) pair, points reduced mod d."""
+    return [{"x": x, "value": v, "modulus": d} for x, v in zip(points, values)]
+
+
 def deal(
     config: ResolvedConfig, rng: np.random.Generator
-) -> tuple[list[list[Share]], list[PlayerState], list[Message]]:
-    """Step 1: each dealer shares its secret to all n players.
+) -> tuple[np.ndarray, list[Message]]:
+    """Step 1: each dealer evaluates its polynomial at every player's point.
 
-    Returns each dealer's row of shares, the players and the share messages.
+    Returns the (dealers, n) array of shares, in ``zmod.residues``' dtype,
+    and the share messages. Pinned polynomials draw nothing from ``rng``.
     """
     d = config.d
-    polys = [
-        Polynomial.from_ints(config.polynomials[k], d)
-        if config.polynomials is not None
-        else Polynomial.random(secret, config.t - 1, d, rng)
-        for k, secret in enumerate(config.secrets)
+    if config.polynomials is not None:
+        coefficients = residues(config.polynomials, d)
+    else:
+        # One draw of every dealer's t-1 random coefficients gives the same
+        # values, in the same order, as t-1 scalar draws per dealer.
+        draws = rng.integers(0, d, size=(len(config.secrets), config.t - 1))
+        coefficients = residues(np.column_stack([config.secrets, draws]), d)
+    points = residues(config.evaluation_points, d)
+    rows = np.zeros((len(coefficients), config.n), dtype=points.dtype)
+    for column in coefficients.T[::-1]:  # Horner, highest degree first
+        rows = (rows * points + column[:, None]) % d
+    xs = points.tolist()
+    messages = [
+        Message(f"dealer_{k + 1}", f"P{i}", "share", payload)
+        for k, row in enumerate(rows.tolist())
+        for i, payload in enumerate(_share_json(xs, row, d), start=1)
     ]
-    players = [PlayerState(index=i, dealer_shares=[]) for i in range(1, config.n + 1)]
-    messages = []
-    rows = []
-    for k, poly in enumerate(polys):
-        shares = generate_shares(poly, config.evaluation_points, d)
-        rows.append(shares)
-        for player, share in zip(players, shares):
-            player.dealer_shares.append(share)
-            messages.append(
-                Message(
-                    sender=f"dealer_{k + 1}",
-                    receiver=f"P{player.index}",
-                    kind="share",
-                    payload=share.to_json(),
-                )
-            )
-    return rows, players, messages
+    return rows, messages
 
 
-def combine_local(player: PlayerState) -> Share:
-    """Step 2: fold per-dealer shares into one combined share; the
-    per-dealer shares are discarded from the player's record."""
-    combined = player.dealer_shares[0]
-    for share in player.dealer_shares[1:]:
-        combined = add_shares(combined, share)
-    player.combined = combined
-    player.dealer_shares = None
-    return combined
+def combine(dealer_rows: np.ndarray, d: int) -> np.ndarray:
+    """Step 2: each player's combined share, the sum of its dealers' shares."""
+    return dealer_rows.sum(axis=0) % d
 
 
 def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun:
-    """Steps 1-3: deal, combine, and compute the qualified set's shadows."""
-    dealer_shares, players, messages = deal(config, rng)
-    for player in players:
-        combine_local(player)
+    """Steps 1-3: deal, combine, and compute the qualified set's shadows.
+
+    Computed on arrays; each player's combined share and each qualified
+    player's shadow are then recorded once as a ``Share`` and a ``Shadow``.
+    """
+    d = config.d
+    rows, messages = deal(config, rng)
+    combined = combine(rows, d)
     qualified_points = [config.evaluation_points[i - 1] for i in config.qualified]
-    shadows = []
-    for position, i in enumerate(config.qualified, start=1):
-        player = players[i - 1]
-        player.position = position
-        player.shadow = compute_shadow(
-            player.combined, position, qualified_points, config.d
-        )
-        shadows.append(player.shadow.value.value)
-    return PreparedRun(config, dealer_shares, players, messages, shadows)
+    shadows = (combined[np.array(config.qualified) - 1]
+               * lagrange_weights(qualified_points, d) % d).tolist()
+    players = [
+        PlayerState(i, combined=Share(FieldElement(x, d), FieldElement(value, d)))
+        for i, (x, value) in enumerate(
+            zip(config.evaluation_points, combined.tolist()), start=1)
+    ]
+    for position, (i, value) in enumerate(zip(config.qualified, shadows), start=1):
+        players[i - 1].position = position
+        players[i - 1].shadow = Shadow(owner=position, value=FieldElement(value, d))
+    return PreparedRun(config, rows, players, messages, shadows)
 
 
 def post_transform_branches(
@@ -372,7 +375,7 @@ def _json_int_array(values: np.ndarray, depth: int) -> str:
 @dataclass
 class ProtocolTranscript:
     config: ResolvedConfig
-    dealer_shares: list[list[Share]]
+    dealer_rows: np.ndarray  # (dealers, n) shares, as PreparedRun.dealer_rows
     combined_shares: list[Share]
     shadows: list[Shadow]
     messages: list[Message]
@@ -403,10 +406,13 @@ class ProtocolTranscript:
     def _items(self) -> list[tuple[str, object]]:
         """The transcript's top-level (key, value) pairs, in output order;
         the per-shot values stay int64 arrays."""
+        d = self.config.d
+        points = [p % d for p in self.config.evaluation_points]
         return [
             ("config", self.config.to_json()),
             ("shares", {
-                "dealers": [[s.to_json() for s in row] for row in self.dealer_shares],
+                "dealers": [_share_json(points, row, d)
+                            for row in self.dealer_rows.tolist()],
                 "combined": [s.to_json() for s in self.combined_shares],
             }),
             ("shadows", [s.to_json() for s in self.shadows]),
@@ -465,7 +471,7 @@ def run_protocol(
 
     return ProtocolTranscript(
         config=cfg,
-        dealer_shares=prepared.dealer_shares,
+        dealer_rows=prepared.dealer_rows,
         combined_shares=[p.combined for p in prepared.players],
         shadows=[
             prepared.players[i - 1].shadow for i in cfg.qualified

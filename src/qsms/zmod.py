@@ -118,6 +118,52 @@ def lagrange_coefficient(u: int, points: list[int], d: int) -> FieldElement:
     return coeff
 
 
+def residues(values, d: int) -> np.ndarray:
+    """``values`` (any nesting of integer sequences) mod d as an array.
+
+    The dtype is int64 when d < INT64_MODULUS_BOUND, where every product of
+    two residues plus a residue stays exact, and object (exact Python ints)
+    at or above it; array arithmetic on the result is then exact either way.
+    """
+    exact = np.array(values, dtype=object) % d
+    return exact if d >= INT64_MODULUS_BOUND else exact.astype(np.int64)
+
+
+def inverses(values: list[int], d: int) -> list[int]:
+    """The inverse mod d of each value, from one modular inversion
+    (Montgomery's trick, Math. Comp. 48, 1987). A value of 0 mod d raises
+    ``ValueError``."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % d)
+    inverse = pow(prefix[-1], -1, d)
+    out = [0] * len(values)
+    for i in reversed(range(len(values))):
+        out[i] = prefix[i] * inverse % d
+        inverse = inverse * values[i] % d
+    return out
+
+
+def lagrange_weights(points, d: int) -> np.ndarray:
+    """Every point's interpolation weight at x=0 within ``points``, as
+    ``residues`` gives them: entry u is ``lagrange_coefficient(u + 1, points,
+    d)``. The points must be distinct and nonzero mod d (else ``ValueError``).
+
+    Weight u is the product of all points over x_u times the product of
+    (x_z - x_u) for z != u, so one batched inversion serves every weight.
+    """
+    x = residues(points, d)
+    factors = (x[None, :] - x[:, None]) % d  # row u, column z: x_z - x_u
+    np.fill_diagonal(factors, x)
+    denominators = np.ones(len(x), dtype=x.dtype)
+    for column in factors.T:
+        denominators = denominators * column % d
+    numerator = 1
+    for v in x.tolist():
+        numerator = numerator * v % d
+    return residues(inverses(denominators.tolist(), d), d) * numerator % d
+
+
 def smallest_valid_prime(n: int) -> int:
     """Smallest prime d with n < d <= 2n, so Z_d has n distinct nonzero
     evaluation points. Bertrand's postulate puts one there for every n >= 1.

@@ -83,6 +83,27 @@ def test_sample_exact_near_int64_modulus_bound():
     assert got.tolist() == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([2, 3, 11, 2**31 - 1]), k=st.integers(0, 4),
+       t=st.integers(1, 6), data=st.data())
+def test_sample_matches_integer_formula(d, k, t, data):
+    # Entries 0 and 1 make unit columns, copied from one coefficient; the
+    # other columns go through the product.
+    entry = st.one_of(st.sampled_from([0, 1, d - 1]), st.integers(0, d - 1))
+    basis = np.array(data.draw(st.lists(st.lists(entry, min_size=t, max_size=t),
+                                        min_size=k, max_size=k)),
+                     dtype=np.int64).reshape(k, t)
+    offset = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=t,
+                                         max_size=t)), dtype=np.int64)
+    got = affine.sample(affine.AffineState(d, offset, basis), 20,
+                        np.random.default_rng(k * t))
+    coeffs = np.random.default_rng(k * t).integers(0, d, size=(20, k)).tolist()
+    want = [[(o + sum(c * b for c, b in zip(row, column))) % d
+             for o, column in zip(offset.tolist(), basis.T.tolist())]
+            for row in coeffs]
+    assert got.tolist() == want
+
+
 def test_prepare_ghz_checks_its_inputs():
     with pytest.raises(ValueError, match="qudit count"):
         affine.prepare_ghz(0, 11)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsms
+from qsms import cli
 from qsms.adversary import AttackReport
 from qsms.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from qsms.protocol import ProtocolTranscript
@@ -260,6 +262,47 @@ def test_malformed_flags_give_one_error_line(argv, message, capsys):
 def test_help_exits_ok(capsys):
     assert main(["run", "--help"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("usage: qsms run")
+
+
+# sha256 of each output, pinned: a change to the seed stream or to the
+# output format must update these and say so in CHANGES.md.
+PINNED_OUTPUTS = {
+    "demo": (["demo", "--output", "{out}"],
+             "f66fbb518027a42e9576416174e55aa600240ef923caaa09512e6f28a5bc9f8d"),
+    "run": (["run", "--secrets", "4,9,6", "--t", "3", "--n", "7", "--d", "11",
+             "--format", "json"],
+            "36b7db6ae369e8dcbae4ede254aa6c1b8b955c11a2058df1ee678ed726c9466a"),
+    "run t=50": (["run", "--secrets", "3,5", "--n", "60", "--t", "50", "--d", "101",
+                  "--shots", "2000", "--format", "json"],
+                 "bf3b1cd69dcdadd54a9541a1bf01b2bc32e20e2308b7b7d20300d12ef7d225da"),
+    "intercept": (["attack", "--kind", "intercept", "--shots", "20000", "--seed", "3"],
+                  "07f87e0df381e4c40dc764c1ad21f34d54633b765e5edd956aa358474476dabb"),
+    "intercept-resend": (["attack", "--kind", "intercept-resend", "--shots", "4096",
+                          "--seed", "5"],
+                         "b95fdee546c19c9e0b404d696aec3aca7fa4b7516a39fc9543e99b0070acb30e"),
+    "collusion": (["attack", "--kind", "collusion", "--colluders", "2,3", "--seed", "7"],
+                  "d5ce425f96675580ad73024a52c323f54316ff3acbfbbd2421736d5baeac940f"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
+def test_output_bytes_pinned(name, tmp_path, capsys):
+    argv, digest = PINNED_OUTPUTS[name]
+    out_file = tmp_path / "out.json"
+    assert main([a.format(out=out_file) for a in argv]) == EXIT_OK
+    data = out_file.read_bytes() if "{out}" in argv else capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_parser_built_lazily_once():
+    # Not at import, which the benchmark's set-up time measures.
+    env = {**os.environ, "PYTHONPATH": str(Path(qsms.__file__).parents[1])}
+    code = ("from qsms import cli; assert cli.build_parser.cache_info().currsize == 0; "
+            "cli.main(['run', '--help']); cli.main(['run', '--n', 'x']); "
+            "assert cli.build_parser.cache_info().misses == 1")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_attack_report_independent_of_hash_seed():

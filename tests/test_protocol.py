@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -15,17 +16,25 @@ from qsms.protocol import (
     RunConfig,
     _json_int_array,
     aggregate,
-    combine_local,
+    combine,
     deal,
     post_transform_branches,
     prepare_run,
     run_protocol,
     run_quantum_phase,
 )
-from qsms import affine
+from qsms import affine, shamir, zmod
 from qsms.affine import collapse_branches, support_mask
 from qsms.qudit import DimensionGuardError, analytic_post_transform_state, histogram_json
-from qsms.shamir import reconstruct
+from qsms.shamir import (
+    Polynomial,
+    Share,
+    add_shares,
+    compute_shadow,
+    generate_shares,
+    reconstruct,
+)
+from qsms.zmod import FieldElement
 
 PAPER_CONFIG = RunConfig(
     secrets=(2, 3),
@@ -40,49 +49,121 @@ PAPER_CONFIG = RunConfig(
 
 def test_deal_reproduces_reference_rows():
     cfg = PAPER_CONFIG.resolved()
-    polys, players, messages = deal(cfg, np.random.default_rng(0))
-    f_row = [p.dealer_shares[0].value.value for p in players]
-    g_row = [p.dealer_shares[1].value.value for p in players]
-    assert f_row == [4, 8, 3, 0, 10, 0, 3]
-    assert g_row == [5, 9, 4, 1, 0, 1, 4]
+    rows, messages = deal(cfg, np.random.default_rng(0))
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [[4, 8, 3, 0, 10, 0, 3], [5, 9, 4, 1, 0, 1, 4]]
     assert len(messages) == 14
 
 
 def test_deal_constant_polynomial():
     cfg = RunConfig(secrets=(4,), n=3, t=2, d=5, polynomials=((4, 0),),
                     shots=1).resolved()
-    _, players, _ = deal(cfg, np.random.default_rng(0))
-    assert all(p.dealer_shares[0].value.value == 4 for p in players)
+    rows, _ = deal(cfg, np.random.default_rng(0))
+    assert rows.tolist() == [[4, 4, 4]]
 
 
 def test_deal_random_polynomials_round_trip():
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=1, seed=0).resolved()
     rng = np.random.default_rng(1)
-    polys, players, _ = deal(cfg, rng)
-    for k, secret in enumerate(cfg.secrets):
-        shares = [p.dealer_shares[k] for p in players[2:5]]
+    rows, _ = deal(cfg, rng)
+    for row, secret in zip(rows.tolist(), cfg.secrets):
+        shares = [Share(FieldElement(x, cfg.d), FieldElement(v, cfg.d))
+                  for x, v in zip(cfg.evaluation_points, row)][2:5]
         assert reconstruct(shares, cfg.d, threshold=cfg.t).value == secret
 
 
 def test_combine_local_reference_row():
     cfg = PAPER_CONFIG.resolved()
-    _, players, _ = deal(cfg, np.random.default_rng(0))
-    h_row = [combine_local(p).value.value for p in players]
-    assert h_row == [9, 6, 7, 1, 10, 1, 7]
-    # Per-dealer shares are discarded after combination.
-    assert all(p.dealer_shares is None for p in players)
+    rows, _ = deal(cfg, np.random.default_rng(0))
+    assert combine(rows, cfg.d).tolist() == [9, 6, 7, 1, 10, 1, 7]
+    # Player records hold only the combined share, never the per-dealer ones.
+    players = prepare_run(cfg, np.random.default_rng(0)).players
+    assert [p.combined.value.value for p in players] == [9, 6, 7, 1, 10, 1, 7]
+    assert not hasattr(players[0], "dealer_shares")
 
 
 def test_combine_local_single_dealer_is_identity():
     cfg = RunConfig(secrets=(4,), n=3, t=2, d=5, shots=1).resolved()
-    _, players, _ = deal(cfg, np.random.default_rng(2))
-    before = [p.dealer_shares[0].value.value for p in players]
-    assert [combine_local(p).value.value for p in players] == before
+    rows, _ = deal(cfg, np.random.default_rng(2))
+    assert combine(rows, cfg.d).tolist() == rows[0].tolist()
 
 
 def test_prepare_run_shadows():
     prepared = prepare_run(PAPER_CONFIG.resolved(), np.random.default_rng(0))
     assert prepared.shadows == [5, 4, 7]
+    assert [prepared.players[i - 1].shadow.value.value for i in (1, 2, 3)] == [5, 4, 7]
+
+
+# Small primes, and moduli on both sides of the int64 bound 2^31: 2^31 - 1
+# (int64 arrays), 2147483659 (the first prime above 2^31) and 2^61 - 1
+# (exact Python ints in object arrays).
+ORACLE_MODULI = (3, 5, 7, 11, 13, 101, 2**31 - 1, 2147483659, 2**61 - 1)
+
+
+@st.composite
+def _classical_configs(draw):
+    d = draw(st.sampled_from(ORACLE_MODULI))
+    t = draw(st.integers(2, min(12, d - 1)))
+    n = draw(st.integers(t, min(t + 4, d - 1)))
+    points = draw(st.lists(st.integers(1, d - 1), min_size=n, max_size=n, unique=True))
+    # Points and pinned coefficients beyond [0, d) are reduced mod d.
+    points = [p + d * draw(st.integers(-1, 1)) for p in points]
+    dealers = draw(st.integers(1, 4))
+    secrets = draw(st.lists(st.integers(0, d - 1), min_size=dealers, max_size=dealers))
+    polynomials = None
+    if draw(st.booleans()):
+        polynomials = [
+            [s + d * draw(st.integers(-1, 1))]
+            + draw(st.lists(st.integers(-d, 2 * d), min_size=t - 1, max_size=t - 1))
+            for s in secrets
+        ]
+    qualified = draw(st.permutations(range(1, n + 1)))[:t]
+    return RunConfig(secrets=secrets, n=n, t=t, d=d, qualified=qualified,
+                     evaluation_points=points, shots=1, seed=draw(st.integers(0, 2**32)),
+                     polynomials=polynomials, allow_out_of_range_prime=True).resolved()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_classical_configs())
+def test_classical_phase_matches_object_api(cfg):
+    d, t = cfg.d, cfg.t
+    prepared = prepare_run(cfg, np.random.default_rng(cfg.seed))
+    # The object API, with the per-dealer scalar draws of the same stream.
+    rng = np.random.default_rng(cfg.seed)
+    polys = (
+        [Polynomial.from_ints(p, d) for p in cfg.polynomials]
+        if cfg.polynomials is not None
+        else [Polynomial.random(s, t - 1, d, rng) for s in cfg.secrets]
+    )
+    assert prepared.dealer_rows.dtype == (np.int64 if d < 2**31 else object)
+    assert prepared.dealer_rows.tolist() == [
+        [poly.evaluate(x).value for x in cfg.evaluation_points] for poly in polys
+    ]
+    dealt = [generate_shares(poly, cfg.evaluation_points, d) for poly in polys]
+    assert [m.payload for m in prepared.messages] == [
+        s.to_json() for row in dealt for s in row
+    ]
+    combined = [functools.reduce(add_shares, column) for column in zip(*dealt)]
+    assert [p.combined for p in prepared.players] == combined
+    qualified_points = [cfg.evaluation_points[i - 1] for i in cfg.qualified]
+    shadows = [compute_shadow(combined[i - 1], u, qualified_points, d)
+               for u, i in enumerate(cfg.qualified, start=1)]
+    assert [prepared.players[i - 1].shadow for i in cfg.qualified] == shadows
+    assert prepared.shadows == [s.value.value for s in shadows]
+    qualified_shares = [combined[i - 1] for i in cfg.qualified]
+    assert reconstruct(qualified_shares, d, threshold=t).value == sum(cfg.secrets) % d
+
+
+def test_prepare_run_stays_off_the_per_product_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-product field arithmetic on the run path")
+
+    monkeypatch.setattr(shamir.Polynomial, "evaluate", refuse)
+    monkeypatch.setattr(shamir, "lagrange_coefficient", refuse)
+    monkeypatch.setattr(zmod, "lagrange_coefficient", refuse)
+    cfg = RunConfig(secrets=(3, 5), n=60, t=50, d=101, shots=1).resolved()
+    prepared = prepare_run(cfg, np.random.default_rng(0))
+    assert sum(prepared.shadows) % cfg.d == 8
 
 
 def test_run_quantum_phase_digit_sum_law():

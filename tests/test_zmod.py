@@ -6,8 +6,11 @@ from hypothesis import given, strategies as st
 
 from qsms.zmod import (
     FieldElement,
+    inverses,
     is_prime,
     lagrange_coefficient,
+    lagrange_weights,
+    residues,
     row_reduce,
     smallest_valid_prime,
 )
@@ -104,6 +107,34 @@ def test_lagrange_coefficients_sum_to_one(d, k):
     points = list(range(1, k + 1))
     total = sum(lagrange_coefficient(u, points, d).value for u in range(1, k + 1))
     assert total % d == 1
+
+
+@given(d=st.sampled_from([3, 11, 101, 2**31 - 1, 2147483659, 2**61 - 1]), data=st.data())
+def test_lagrange_weights_match_lagrange_coefficient(d, data):
+    points = data.draw(st.lists(st.integers(1, d - 1), min_size=1,
+                                max_size=min(8, d - 1), unique=True))
+    # Points beyond [0, d) are reduced mod d first.
+    points = [p + d * data.draw(st.integers(-1, 1)) for p in points]
+    weights = lagrange_weights(points, d)
+    assert weights.dtype == (np.int64 if d < 2**31 else object)
+    assert weights.tolist() == [lagrange_coefficient(u, points, d).value
+                                for u in range(1, len(points) + 1)]
+    assert inverses([p % d for p in points], d) == [
+        FieldElement(p, d).inv().value for p in points
+    ]
+
+
+@pytest.mark.parametrize("points", [[1, 2, 1], [1, 11, 2], [3, 0]])
+def test_lagrange_weights_reject_repeated_or_zero_points(points):
+    with pytest.raises(ValueError):
+        lagrange_weights(points, 11)
+
+
+def test_residues_dtype_follows_int64_bound():
+    assert residues([-1, 12], 11).tolist() == [10, 1]
+    assert residues([[-1], [12]], 2**31 - 1).dtype == np.int64
+    exact = residues([2**62 + 5], 2**61 - 1)
+    assert exact.dtype == object and exact.tolist() == [(2**62 + 5) % (2**61 - 1)]
 
 
 def test_smallest_valid_prime_examples():
