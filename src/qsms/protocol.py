@@ -10,6 +10,7 @@ A run produces a JSON-serializable transcript.
 """
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass, field, fields
@@ -30,6 +31,10 @@ from .zmod import FieldElement, is_prime, lagrange_weights, residues, smallest_v
 # into, their probabilities summing to 1. An identity tap returns
 # [(1.0, None, state)]. The honest path installs none.
 QuantumTap = Callable[[AffineState, int], list[tuple[float, Hashable, AffineState]]]
+
+# Most outcome digits (shots x t) a run may hold: 128 MiB as int64, before
+# the transcript writes each one as text.
+OUTCOME_GUARD = 2**24
 
 
 class ConfigError(ValueError):
@@ -101,6 +106,11 @@ class RunConfig:
             raise ConfigError("need at least 2 players")
         if not 2 <= t <= n:
             raise ConfigError(f"threshold must satisfy 2 <= t <= n, got t={t}")
+        if shots * t > OUTCOME_GUARD:
+            raise qudit.DimensionGuardError(
+                f"outcome entries shots x t = {shots} x {t} = {shots * t} "
+                f"exceed guard {OUTCOME_GUARD}"
+            )
         d = smallest_valid_prime(n) if self.d is None else _integer("d", self.d)
         # The range check runs first: it is cheap, primality of a huge d is not.
         if not self.allow_out_of_range_prime and not n <= d <= 2 * n:
@@ -354,22 +364,29 @@ def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     return digits.sum(axis=-1) % d
 
 
-def _json_int_array(values: np.ndarray, depth: int) -> str:
-    """``json.dumps(values.tolist(), indent=2)`` re-indented to ``depth``.
+def _json_int_array(distinct: np.ndarray, inverse: np.ndarray, depth: int) -> str:
+    """``json.dumps(distinct[inverse].tolist(), indent=2)`` re-indented to ``depth``.
 
-    The nested-list layout is built once as a template of ``%d`` slots and
-    filled with every entry in one ``%``, so no entry passes through the
-    pure-Python encoder that ``json.dumps`` falls back on with an indent.
+    ``distinct`` holds the distinct entries along axis 0 and ``inverse`` the
+    entry each position of the list takes. Each distinct entry is written
+    once, by filling one template of ``%d`` slots, and the texts are joined
+    in ``inverse`` order, so no entry passes through the pure-Python encoder
+    that ``json.dumps`` falls back on with an indent.
     """
+    if not len(inverse):
+        return "[]"
     template = "%d"
-    for axis in reversed(range(values.ndim)):
+    for axis in reversed(range(1, distinct.ndim)):
         indent = "\n" + "  " * (depth + axis)
         template = (
-            f"[{indent}  " + f",{indent}  ".join([template] * values.shape[axis])
+            f"[{indent}  " + f",{indent}  ".join([template] * distinct.shape[axis])
             + f"{indent}]"
-            if values.shape[axis] else "[]"
+            if distinct.shape[axis] else "[]"
         )
-    return template % tuple(values.ravel().tolist())
+    texts = np.array([template % tuple(entry) for entry in
+                      distinct.reshape(len(distinct), -1).tolist()], dtype=object)
+    indent = "\n" + "  " * depth
+    return f"[{indent}  " + f",{indent}  ".join(texts[inverse].tolist()) + f"{indent}]"
 
 
 @dataclass
@@ -388,20 +405,37 @@ class ProtocolTranscript:
     result_binary: str
     seed: int
 
-    def histogram(self) -> dict:
+    @functools.cached_property
+    def _outcome_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct outcome rows in ascending digit order, each shot's
+        index into them, and each row's count: the one ``np.unique`` that
+        ``histogram()`` and ``to_json()`` share."""
         d, t = self.config.d, self.config.t
         if d**t <= 2**63:
             # Flat basis indices fit in int64 and sort in the order of
             # their digit tuples.
             flat = self.outcomes @ d ** np.arange(t - 1, -1, -1, dtype=np.int64)
-            indices, counts = np.unique(flat, return_counts=True)
+            indices, inverse, counts = np.unique(
+                flat, return_inverse=True, return_counts=True)
             rows = qudit.indices_to_digits(indices, d, t)
         else:
-            rows, counts = np.unique(self.outcomes, axis=0, return_counts=True)
-        return qudit.histogram_json(
-            dict(zip(map(tuple, rows.tolist()), counts.tolist())),
-            d, t, len(self.outcomes), self.seed,
-        )
+            rows, inverse, counts = np.unique(
+                self.outcomes, axis=0, return_inverse=True, return_counts=True)
+        return rows, inverse.reshape(-1), counts
+
+    def histogram(self) -> dict:
+        """JSON-ready histogram keyed by dash-joined digit strings, in
+        ascending digit order."""
+        rows, _, counts = self._outcome_table
+        label = "-".join(["%d"] * self.config.t)
+        return {
+            "d": self.config.d,
+            "t": self.config.t,
+            "shots": len(self.outcomes),
+            "seed": self.seed,
+            "counts": dict(zip([label % tuple(row) for row in rows.tolist()],
+                               counts.tolist())),
+        }
 
     def _items(self) -> list[tuple[str, object]]:
         """The transcript's top-level (key, value) pairs, in output order;
@@ -433,11 +467,16 @@ class ProtocolTranscript:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2)``, byte for byte."""
+        # The per-shot arrays as (distinct entries, each shot's index).
+        per_shot = {
+            "outcomes": self._outcome_table[:2],
+            "per_shot_sums": np.unique(self.per_shot_sums, return_inverse=True),
+        }
         # An encoded string holds no raw newline, so re-indenting a section
         # by its newlines is exact.
         body = ",\n".join(
             f"  {json.dumps(key)}: "
-            + (_json_int_array(value, 1) if isinstance(value, np.ndarray)
+            + (_json_int_array(*per_shot[key], 1) if key in per_shot
                else json.dumps(value, indent=2).replace("\n", "\n  "))
             for key, value in self._items()
         )

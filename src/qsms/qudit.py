@@ -26,7 +26,8 @@ MEASUREMENT_NORM_TOL = 1e-6
 
 
 class DimensionGuardError(ValueError):
-    """Raised when d^t would exceed the in-memory state-vector guard."""
+    """Raised when a run would exceed an in-memory guard: d^t amplitudes,
+    tap branches, or outcome entries (shots x t)."""
 
 
 class UnnormalizedStateError(ValueError):
@@ -265,20 +266,4 @@ def sample_counts(
         index_to_digits(i, state.d, state.t): int(c)
         for i, c in enumerate(counts)
         if c > 0
-    }
-
-
-def histogram_json(
-    counts: dict[tuple[int, ...], int], d: int, t: int, shots: int, seed: int
-) -> dict:
-    """JSON-ready histogram keyed by dash-joined digit strings."""
-    return {
-        "d": d,
-        "t": t,
-        "shots": shots,
-        "seed": seed,
-        "counts": {
-            "-".join(str(c) for c in digits): n
-            for digits, n in sorted(counts.items())
-        },
     }

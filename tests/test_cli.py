@@ -161,6 +161,20 @@ def test_attack_collapse_branches_hit_guard(monkeypatch, capsys):
     assert err == "error: 11 tap branches exceed guard 10\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--secrets", "2,3", "--n", "7", "--t", "3", "--d", "11", "--shots", "6"],
+    ["attack", "--kind", "intercept", "--t", "3", "--shots", "6"],
+])
+def test_outcome_entries_beyond_guard_exit_code(argv, monkeypatch, capsys):
+    from qsms import protocol
+
+    monkeypatch.setattr(protocol, "OUTCOME_GUARD", 15)
+    assert main(argv) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: outcome entries shots x t = 6 x 3 = 18 exceed guard 15\n"
+
+
 def test_verify_guard_holds_beyond_int64_modulus(capsys):
     assert main(["verify", "--d", str(2**31 + 11), "--t", "2",
                  "--shadows", "0,0"]) == EXIT_GUARD

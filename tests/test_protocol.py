@@ -23,9 +23,9 @@ from qsms.protocol import (
     run_protocol,
     run_quantum_phase,
 )
-from qsms import affine, shamir, zmod
+from qsms import affine, protocol, shamir, zmod
 from qsms.affine import collapse_branches, support_mask
-from qsms.qudit import DimensionGuardError, analytic_post_transform_state, histogram_json
+from qsms.qudit import DimensionGuardError, analytic_post_transform_state
 from qsms.shamir import (
     Polynomial,
     Share,
@@ -335,6 +335,8 @@ def _transcripts(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(transcript=_transcripts())
+# 101^50 > 2^63: the distinct rows come from np.unique(axis=0).
+@example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=60, t=50, d=101, shots=2000)))
 def test_to_json_matches_stdlib_encoder(transcript):
     """The stdlib encoder is the oracle for the bulk writer's bytes."""
     text = transcript.to_json()
@@ -349,18 +351,49 @@ def test_to_json_matches_stdlib_encoder(transcript):
 def test_histogram_matches_row_unique_oracle(transcript):
     cfg = transcript.config
     rows, counts = np.unique(transcript.outcomes, axis=0, return_counts=True)
-    oracle = histogram_json(dict(zip(map(tuple, rows.tolist()), counts.tolist())),
-                            cfg.d, cfg.t, len(transcript.outcomes), transcript.seed)
-    # Compared as JSON text, so the order of the counts counts too.
-    assert json.dumps(transcript.histogram()) == json.dumps(oracle)
+    oracle = {
+        "d": cfg.d, "t": cfg.t, "shots": len(transcript.outcomes), "seed": transcript.seed,
+        "counts": {"-".join(str(c) for c in row): n
+                   for row, n in sorted(zip(map(tuple, rows.tolist()), counts.tolist()))},
+    }
+    histogram = transcript.histogram()
+    assert histogram == oracle
+    # The order of the counts counts too. Compared as lists, not as one JSON
+    # text: a failing diff of a 400 kB line takes pytest minutes.
+    assert list(histogram["counts"]) == list(oracle["counts"])
 
 
-@given(values=hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
-                                                   max_side=4)),
-       depth=st.integers(0, 2))
-def test_json_int_array_matches_stdlib_encoder(values, depth):
-    expected = json.dumps(values.tolist(), indent=2).replace("\n", "\n" + "  " * depth)
-    assert _json_int_array(values, depth) == expected
+@st.composite
+def _tables(draw):
+    """(distinct, inverse): entries along axis 0 and the entry each position
+    of the list takes, from heavily repeated to every entry once."""
+    inner = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+    k = draw(st.integers(0, 6))
+    distinct = draw(hnp.arrays(np.int64, (k, *inner)))
+    inverse = draw(st.one_of(st.lists(st.integers(0, k - 1), max_size=50),
+                             st.permutations(range(k)))) if k else []
+    return distinct, np.array(inverse, dtype=np.intp)
+
+
+@given(table=_tables(), depth=st.integers(0, 2))
+@example(table=(np.array([[3, 1, 4]]), np.zeros(1, dtype=np.intp)), depth=1)  # one row
+@example(table=(np.array([[0, 10], [5, 6]]), np.zeros(300, dtype=np.intp)), depth=1)
+@example(table=(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.intp)), depth=1)
+@example(table=(np.empty((1, 0), dtype=np.int64), np.zeros(3, dtype=np.intp)), depth=1)
+def test_json_int_array_matches_stdlib_encoder(table, depth):
+    distinct, inverse = table
+    expected = json.dumps(distinct[inverse].tolist(), indent=2).replace(
+        "\n", "\n" + "  " * depth)
+    assert _json_int_array(distinct, inverse, depth) == expected
+
+
+def test_resolved_bounds_outcome_entries(monkeypatch):
+    monkeypatch.setattr(protocol, "OUTCOME_GUARD", 15)
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=5)
+    assert cfg.resolved().shots == 5
+    with pytest.raises(DimensionGuardError,
+                       match=r"^outcome entries shots x t = 6 x 3 = 18 exceed guard 15$"):
+        replace(cfg, shots=6).resolved()
 
 
 def test_resolved_61_bit_prime_returns_promptly():
