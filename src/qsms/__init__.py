@@ -14,7 +14,6 @@ from .shamir import (
     reconstruct,
 )
 from .qudit import (
-    MeasurementOutcome,
     QuditState,
     analytic_post_transform_state,
     apply_iqft,
@@ -22,7 +21,6 @@ from .qudit import (
     apply_shift,
     measure_all,
     prepare_ghz,
-    sample_counts,
 )
 from .protocol import ProtocolTranscript, RunConfig, aggregate, run_protocol
 from .adversary import (
@@ -45,7 +43,6 @@ __all__ = [
     "compute_shadow",
     "generate_shares",
     "reconstruct",
-    "MeasurementOutcome",
     "QuditState",
     "analytic_post_transform_state",
     "apply_iqft",
@@ -53,7 +50,6 @@ __all__ = [
     "apply_shift",
     "measure_all",
     "prepare_ghz",
-    "sample_counts",
     "ProtocolTranscript",
     "RunConfig",
     "aggregate",

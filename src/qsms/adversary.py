@@ -4,9 +4,7 @@ Three scenarios are modeled. An eavesdropper who measures an in-flight
 GHZ leg (intercept, with or without resending the collapsed particle)
 sees a uniform digit carrying nothing about any shadow. A sub-threshold
 coalition that pools its shares finds every candidate secret equally
-consistent. Entangle-measure, collective, and coherent eavesdroppers are
-modeled at the same observational power as intercept: the observable in
-every case is a computational-basis digit of an intercepted leg.
+consistent.
 """
 from __future__ import annotations
 

@@ -17,12 +17,16 @@ import operator
 
 import numpy as np
 
-from .qudit import DimensionGuardError
 from .zmod import INT64_MODULUS_BOUND, is_prime, row_reduce
 
 # Tap branches held at once. Each holds O(t^2) integers, and each costs one
 # sampler call, so the count is what a tap on many legs multiplies.
 BRANCH_GUARD = 2**12
+
+
+class DimensionGuardError(ValueError):
+    """Raised when a run would exceed an in-memory guard: tap branches,
+    outcome entries, share messages, or the dense engine's d^t amplitudes."""
 
 
 class AffineState:

@@ -26,8 +26,8 @@ from .adversary import (
     intercept_and_measure,
     intercept_resend,
 )
+from .affine import DimensionGuardError
 from .protocol import ConfigError, RunConfig, post_transform_branches, run_protocol
-from .qudit import DimensionGuardError
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -18,8 +18,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import affine, qudit
-from .affine import AffineState
+from . import affine
+from .affine import AffineState, DimensionGuardError
 from .shamir import Share, Shadow
 # Not called here: perfbench/tracer.py patches these names in this module
 # until it is rebuilt on spans (ROADMAP item 1).
@@ -35,6 +35,9 @@ QuantumTap = Callable[[AffineState, int], list[tuple[float, Hashable, AffineStat
 # Most outcome digits (shots x t) a run may hold: 128 MiB as int64, before
 # the transcript writes each one as text.
 OUTCOME_GUARD = 2**24
+# Most share messages (dealers x n) a run may build: each is a Python object
+# and an indent-2 JSON text, about 4 KiB at peak with the transcript written.
+MESSAGE_GUARD = 2**16
 
 
 class ConfigError(ValueError):
@@ -107,7 +110,7 @@ class RunConfig:
         if not 2 <= t <= n:
             raise ConfigError(f"threshold must satisfy 2 <= t <= n, got t={t}")
         if shots * t > OUTCOME_GUARD:
-            raise qudit.DimensionGuardError(
+            raise DimensionGuardError(
                 f"outcome entries shots x t = {shots} x {t} = {shots * t} "
                 f"exceed guard {OUTCOME_GUARD}"
             )
@@ -123,6 +126,11 @@ class RunConfig:
         for s in secrets:
             if not 0 <= s < d:
                 raise ConfigError(f"secret {s} outside [0, {d})")
+        if len(secrets) * n > MESSAGE_GUARD:
+            raise DimensionGuardError(
+                f"share messages dealers x n = {len(secrets)} x {n} = "
+                f"{len(secrets) * n} exceed guard {MESSAGE_GUARD}"
+            )
         qualified = _sequence(
             "qualified", range(1, t + 1) if self.qualified is None else self.qualified
         )
@@ -212,7 +220,6 @@ class PlayerState:
     index: int
     combined: Share | None = None
     shadow: Shadow | None = None
-    position: int | None = None
 
 
 @dataclass
@@ -283,7 +290,6 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
             zip(config.evaluation_points, combined.tolist()), start=1)
     ]
     for position, (i, value) in enumerate(zip(config.qualified, shadows), start=1):
-        players[i - 1].position = position
         players[i - 1].shadow = Shadow(owner=position, value=FieldElement(value, d))
     return PreparedRun(config, rows, players, messages, shadows)
 
@@ -341,7 +347,10 @@ def run_quantum_phase(
     """
     branches = post_transform_branches(shadows, d, tap)
     weights = np.array([weight for weight, _, _ in branches])
-    branch = qudit.sample_indices(weights, shots, rng)
+    total = weights.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"tap branch probabilities sum to {total}, not 1")
+    branch = rng.choice(len(weights), size=shots, p=weights / total)
     # Shots grouped by branch, in shot order within each branch.
     order = np.argsort(branch, kind="stable")
     digits = np.empty((shots, len(shadows)), dtype=np.int64)
@@ -414,10 +423,10 @@ class ProtocolTranscript:
         if d**t <= 2**63:
             # Flat basis indices fit in int64 and sort in the order of
             # their digit tuples.
-            flat = self.outcomes @ d ** np.arange(t - 1, -1, -1, dtype=np.int64)
+            powers = d ** np.arange(t - 1, -1, -1, dtype=np.int64)
             indices, inverse, counts = np.unique(
-                flat, return_inverse=True, return_counts=True)
-            rows = qudit.indices_to_digits(indices, d, t)
+                self.outcomes @ powers, return_inverse=True, return_counts=True)
+            rows = indices[:, None] // powers % d
         else:
             rows, inverse, counts = np.unique(
                 self.outcomes, axis=0, return_inverse=True, return_counts=True)

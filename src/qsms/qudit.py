@@ -1,33 +1,31 @@
-"""Dense complex state-vector engine for t qudits of prime dimension d.
+"""Dense complex state-vector engine for t qudits of prime dimension d: the
+oracle the affine engine (``qsms.affine``) is checked against, and what
+``qsms verify`` runs on. Runs and attacks never import it.
 
 The amplitude vector has length d^t; the flat index is read as base-d
 digits c_1 c_2 ... c_t with qudit 1 the most significant digit, matching
 left-to-right ket order. Provides GHZ-type preparation, the single-qudit
 Fourier transform over Z_d and its inverse, the generalized Pauli shift
-|c> -> |c+m mod d>, and computational-basis measurement: bulk sampling
-through one sampler, and single-qudit collapse as weighted branches.
+|c> -> |c+m mod d>, the closed form of the post-transform state, and
+computational-basis measurement, with single-qudit collapse as weighted
+branches. A state is checked once, where a caller builds it; gates and
+collapse derive their states from it without checking again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .affine import DimensionGuardError
 from .zmod import is_prime
 
 DIMENSION_GUARD = 2**24
 
-# Tolerance hierarchy: strict at construction, looser for accumulated
-# drift across operations, loosest at the measurement gate.
+# Strict where a caller builds a state; looser where a measurement reads one
+# that gates have carried through accumulated drift.
 CONSTRUCTION_NORM_TOL = 1e-12
-OPERATION_NORM_TOL = 1e-9
 MEASUREMENT_NORM_TOL = 1e-6
-
-
-class DimensionGuardError(ValueError):
-    """Raised when a run would exceed an in-memory guard: d^t amplitudes,
-    tap branches, or outcome entries (shots x t)."""
 
 
 class UnnormalizedStateError(ValueError):
@@ -39,14 +37,7 @@ class QuditState:
 
     __slots__ = ("d", "t", "amplitudes")
 
-    def __init__(
-        self,
-        d: int,
-        t: int,
-        amplitudes: Iterable[complex],
-        *,
-        norm_tol: float = CONSTRUCTION_NORM_TOL,
-    ):
+    def __init__(self, d: int, t: int, amplitudes: Iterable[complex]):
         if t < 1:
             raise ValueError("qudit count must be >= 1")
         if not is_prime(d):
@@ -56,46 +47,22 @@ class QuditState:
         if amps.shape != (d**t,):
             raise ValueError(f"expected {d ** t} amplitudes, got {amps.shape}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > norm_tol:
+        if abs(norm_sq - 1.0) > CONSTRUCTION_NORM_TOL:
             raise UnnormalizedStateError(
-                f"squared norm {norm_sq} deviates from 1 beyond {norm_tol}"
+                f"squared norm {norm_sq} deviates from 1 beyond {CONSTRUCTION_NORM_TOL}"
             )
         self.d = d
         self.t = t
         self.amplitudes = amps
 
-    def dim(self) -> int:
-        return self.d**self.t
+    def _derived(self, amplitudes: np.ndarray) -> "QuditState":
+        """A state on the same qudits from a norm-preserving map of this one."""
+        state = object.__new__(QuditState)
+        state.d, state.t, state.amplitudes = self.d, self.t, amplitudes.reshape(-1)
+        return state
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Computational-basis digits, one per qudit, each in [0, d-1]."""
-
-    digits: tuple[int, ...]
-
-    def label(self) -> str:
-        return "-".join(str(c) for c in self.digits)
-
-
-def indices_to_digits(indices: Sequence[int], d: int, t: int) -> np.ndarray:
-    """Base-d digits of each flat index, shape (len(indices), t), qudit 1 first."""
-    powers = d ** np.arange(t - 1, -1, -1, dtype=np.int64)
-    return np.asarray(indices, dtype=np.int64)[:, None] // powers % d
-
-
-def index_to_digits(index: int, d: int, t: int) -> tuple[int, ...]:
-    return tuple(indices_to_digits([index], d, t)[0].tolist())
-
-
-def digits_to_index(digits: Sequence[int], d: int) -> int:
-    index = 0
-    for c in digits:
-        index = index * d + c
-    return index
 
 
 def check_guard(d: int, t: int, branches: int = 1) -> None:
@@ -105,6 +72,15 @@ def check_guard(d: int, t: int, branches: int = 1) -> None:
         raise DimensionGuardError(
             f"{held}state dimension d^t = {d}^{t} exceeds guard {DIMENSION_GUARD}"
         )
+
+
+def _split(state: QuditState, values: np.ndarray, position: int) -> np.ndarray:
+    """``values``, one per basis state, with axes (qudits before ``position``,
+    qudit ``position``, qudits after)."""
+    if not 1 <= position <= state.t:
+        raise ValueError(f"position {position} out of range 1..{state.t}")
+    d, t = state.d, state.t
+    return values.reshape(d ** (position - 1), d, d ** (t - position))
 
 
 def prepare_ghz(t: int, d: int) -> QuditState:
@@ -124,12 +100,8 @@ def qft_matrix(d: int) -> np.ndarray:
 
 def _apply_single_qudit(state: QuditState, position: int,
                         matrix: np.ndarray) -> QuditState:
-    if not 1 <= position <= state.t:
-        raise ValueError(f"position {position} out of range 1..{state.t}")
-    d, t = state.d, state.t
-    reshaped = state.amplitudes.reshape(d ** (position - 1), d, d ** (t - position))
-    out = np.einsum("ba,iak->ibk", matrix, reshaped)
-    return QuditState(d, t, out.reshape(-1), norm_tol=OPERATION_NORM_TOL)
+    split = _split(state, state.amplitudes, position)
+    return state._derived(np.einsum("ba,iak->ibk", matrix, split))
 
 
 def apply_qft(state: QuditState, position: int) -> QuditState:
@@ -147,12 +119,8 @@ def apply_shift(state: QuditState, position: int, m: int) -> QuditState:
 
     m is normalized mod d, so negative or oversized shifts are accepted.
     """
-    if not 1 <= position <= state.t:
-        raise ValueError(f"position {position} out of range 1..{state.t}")
-    d, t = state.d, state.t
-    reshaped = state.amplitudes.reshape(d ** (position - 1), d, d ** (t - position))
-    out = np.roll(reshaped, m % d, axis=1)
-    return QuditState(d, t, out.reshape(-1), norm_tol=OPERATION_NORM_TOL)
+    split = _split(state, state.amplitudes, position)
+    return state._derived(np.roll(split, m % state.d, axis=1))
 
 
 def post_transform_state(shadows: Sequence[int], d: int) -> QuditState:
@@ -192,31 +160,18 @@ def _normalized(probs: np.ndarray) -> np.ndarray:
     return probs / norm
 
 
-def sample_indices(
-    probs: np.ndarray, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``shots`` flat indices of a probability vector in one call.
-
-    The one sampler behind measure_all, measure_position, sample_counts
-    and the protocol's quantum phase.
-    """
-    return rng.choice(probs.size, size=shots, p=_normalized(probs))
-
-
-def measure_all(state: QuditState, rng: np.random.Generator) -> MeasurementOutcome:
-    """Sample one computational-basis outcome over all t qudits."""
-    index = int(sample_indices(state.probabilities(), 1, rng)[0])
-    return MeasurementOutcome(index_to_digits(index, state.d, state.t))
+# perfbench/tracer.py patches this name until it is rebuilt on spans (ROADMAP item 1).
+def measure_all(state: QuditState, rng: np.random.Generator) -> tuple[int, ...]:
+    """Sample one computational-basis outcome: its digits, qudit 1 first."""
+    probs = _normalized(state.probabilities())
+    index = rng.choice(probs.size, p=probs)
+    return tuple(int(c) for c in np.unravel_index(index, (state.d,) * state.t))
 
 
 def marginal_distribution(state: QuditState, position: int) -> np.ndarray:
     """Reduced computational-basis distribution of one qudit."""
-    if not 1 <= position <= state.t:
-        raise ValueError(f"position {position} out of range 1..{state.t}")
-    d, t = state.d, state.t
     probs = _normalized(state.probabilities())
-    reshaped = probs.reshape(d ** (position - 1), d, d ** (t - position))
-    return reshaped.sum(axis=(0, 2))
+    return _split(state, probs, position).sum(axis=(0, 2))
 
 
 def collapse_branches(
@@ -228,42 +183,24 @@ def collapse_branches(
     digit of nonzero probability; the probabilities sum to 1. The branches
     are held at once, so together they count against the dimension guard.
     """
-    d, t = state.d, state.t
     marginal = marginal_distribution(state, position)
     digits = np.flatnonzero(marginal > 0).tolist()
-    check_guard(d, t, len(digits))
-    reshaped = state.amplitudes.reshape(d ** (position - 1), d, d ** (t - position))
+    check_guard(state.d, state.t, len(digits))
+    split = _split(state, state.amplitudes, position)
     branches = []
     for digit in digits:
-        collapsed = np.zeros_like(reshaped)
-        collapsed[:, digit, :] = reshaped[:, digit, :] / np.sqrt(marginal[digit])
-        branches.append((float(marginal[digit]), digit,
-                         QuditState(d, t, collapsed.reshape(-1),
-                                    norm_tol=OPERATION_NORM_TOL)))
+        collapsed = np.zeros_like(split)
+        collapsed[:, digit, :] = split[:, digit, :] / np.sqrt(marginal[digit])
+        branches.append((float(marginal[digit]), digit, state._derived(collapsed)))
     return branches
 
 
+# perfbench/tracer.py patches this name until it is rebuilt on spans (ROADMAP item 1).
 def measure_position(
     state: QuditState, position: int, rng: np.random.Generator
 ) -> tuple[int, QuditState]:
     """Projectively measure one qudit; returns (digit, collapsed state)."""
     branches = collapse_branches(state, position)
-    weights = np.array([probability for probability, _, _ in branches])
-    _, digit, collapsed = branches[int(sample_indices(weights, 1, rng)[0])]
+    _, digit, collapsed = branches[rng.choice(len(branches),
+                                              p=[p for p, _, _ in branches])]
     return digit, collapsed
-
-
-def sample_counts(
-    state: QuditState, shots: int, seed: int | np.random.Generator
-) -> dict[tuple[int, ...], int]:
-    """Bulk shot sampling; returns outcome digits -> count."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    indices = sample_indices(state.probabilities(), shots, rng)
-    counts = np.bincount(indices, minlength=state.dim())
-    return {
-        index_to_digits(i, state.d, state.t): int(c)
-        for i, c in enumerate(counts)
-        if c > 0
-    }

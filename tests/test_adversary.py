@@ -14,12 +14,7 @@ from qsms.adversary import (
 )
 from qsms.affine import AffineState, collapse_branches, support_mask
 from qsms.protocol import ConfigError, RunConfig, post_transform_branches, run_protocol
-from qsms.qudit import (
-    digits_to_index,
-    index_to_digits,
-    indices_to_digits,
-    prepare_ghz,
-)
+from qsms.qudit import prepare_ghz
 from qsms.shamir import Share
 from qsms.zmod import FieldElement
 
@@ -108,7 +103,7 @@ def test_collapse_branches_aggregate_equals_exact_oracle(d):
     weights = np.array([weight for weight, _, _ in branches])
     np.testing.assert_allclose(weights, np.full(d, 1 / d), atol=1e-12)
     joint = sum(w * support_mask(s) / support_mask(s).sum() for w, _, s in branches)
-    sums = indices_to_digits(np.arange(d**2), d, 2).sum(axis=1) % d
+    sums = np.add.outer(np.arange(d), np.arange(d)).reshape(-1) % d
     dist = np.bincount(sums, weights=joint, minlength=d)
     oracle = exact_attacked_aggregate(d, 2, shadows)
     assert max(abs(dist[s] - oracle[s]) for s in range(d)) <= 1e-12

@@ -109,5 +109,5 @@ def test_prepare_ghz_checks_its_inputs():
         affine.prepare_ghz(0, 11)
     with pytest.raises(ValueError, match="prime"):
         affine.prepare_ghz(3, 4)
-    with pytest.raises(qudit.DimensionGuardError, match="2\\^31"):
+    with pytest.raises(affine.DimensionGuardError, match="2\\^31"):
         affine.prepare_ghz(2, 2**31 + 11)

@@ -175,6 +175,20 @@ def test_outcome_entries_beyond_guard_exit_code(argv, monkeypatch, capsys):
     assert captured.err == "error: outcome entries shots x t = 6 x 3 = 18 exceed guard 15\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--secrets", "2,3", "--n", "7", "--t", "3", "--d", "11", "--shots", "6"],
+    ["attack", "--kind", "intercept", "--t", "3", "--shots", "6"],
+])
+def test_share_messages_beyond_guard_exit_code(argv, monkeypatch, capsys):
+    from qsms import protocol
+
+    monkeypatch.setattr(protocol, "MESSAGE_GUARD", 13)
+    assert main(argv) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: share messages dealers x n = 2 x 7 = 14 exceed guard 13\n"
+
+
 def test_verify_guard_holds_beyond_int64_modulus(capsys):
     assert main(["verify", "--d", str(2**31 + 11), "--t", "2",
                  "--shadows", "0,0"]) == EXIT_GUARD

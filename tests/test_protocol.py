@@ -23,9 +23,9 @@ from qsms.protocol import (
     run_protocol,
     run_quantum_phase,
 )
-from qsms import affine, protocol, shamir, zmod
-from qsms.affine import collapse_branches, support_mask
-from qsms.qudit import DimensionGuardError, analytic_post_transform_state
+from qsms import affine, cli, protocol, qudit, shamir, zmod
+from qsms.affine import DimensionGuardError, collapse_branches, support_mask
+from qsms.qudit import analytic_post_transform_state
 from qsms.shamir import (
     Polynomial,
     Share,
@@ -164,6 +164,30 @@ def test_prepare_run_stays_off_the_per_product_path(monkeypatch):
     cfg = RunConfig(secrets=(3, 5), n=60, t=50, d=101, shots=1).resolved()
     prepared = prepare_run(cfg, np.random.default_rng(0))
     assert sum(prepared.shadows) % cfg.d == 8
+
+
+def test_run_path_stays_off_the_dense_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense qudit engine on the run path")
+
+    for name, value in list(vars(qudit).items()):
+        if not name.startswith("_") and callable(value):
+            monkeypatch.setattr(qudit, name, refuse)
+    assert run_protocol(PAPER_CONFIG).result == 5
+
+    def tap(state, position):
+        return collapse_branches(state, position) if position == 2 else [(1.0, None, state)]
+
+    tapped = run_protocol(PAPER_CONFIG, tap=tap)
+    assert sorted(set(tapped.tap_labels)) == [(c, None) for c in range(11)]
+    for argv in (["--kind", "intercept"], ["--kind", "intercept-resend"],
+                 ["--kind", "collusion", "--colluders", "1,2"]):
+        assert cli.main(["attack", "--shots", "2000", *argv]) == cli.EXIT_OK
+
+
+def test_tap_probabilities_must_sum_to_one():
+    with pytest.raises(ValueError, match=r"^tap branch probabilities sum to 0.25, not 1$"):
+        run_protocol(PAPER_CONFIG, tap=lambda state, position: [(0.5, None, state)])
 
 
 def test_run_quantum_phase_digit_sum_law():
@@ -340,8 +364,20 @@ def _transcripts(draw):
 def test_to_json_matches_stdlib_encoder(transcript):
     """The stdlib encoder is the oracle for the bulk writer's bytes."""
     text = transcript.to_json()
-    assert text == json.dumps(transcript.to_dict(), indent=2)
-    assert json.loads(text) == transcript.to_dict()
+    _assert_same_text(text, json.dumps(transcript.to_dict(), indent=2))
+    round_trips = json.loads(text) == transcript.to_dict()
+    assert round_trips
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """``got == want``, a failure reported by lengths and the first differing
+    offset: pytest's own diff of two transcripts can take a minute."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        context = slice(max(0, at - 30), at + 30)
+        pytest.fail(f"texts differ: lengths {len(got)} and {len(want)}, first at "
+                    f"offset {at}: {got[context]!r} != {want[context]!r}")
 
 
 @settings(max_examples=60, deadline=None)
@@ -394,6 +430,15 @@ def test_resolved_bounds_outcome_entries(monkeypatch):
     with pytest.raises(DimensionGuardError,
                        match=r"^outcome entries shots x t = 6 x 3 = 18 exceed guard 15$"):
         replace(cfg, shots=6).resolved()
+
+
+def test_resolved_bounds_share_messages(monkeypatch):
+    monkeypatch.setattr(protocol, "MESSAGE_GUARD", 13)
+    cfg = RunConfig(secrets=(2,), n=7, t=3, d=11, shots=5)
+    assert cfg.resolved().secrets == (2,)
+    with pytest.raises(DimensionGuardError,
+                       match=r"^share messages dealers x n = 2 x 7 = 14 exceed guard 13$"):
+        replace(cfg, secrets=(2, 3)).resolved()
 
 
 def test_resolved_61_bit_prime_returns_promptly():

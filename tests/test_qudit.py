@@ -5,27 +5,24 @@ import pytest
 
 from qsms.qudit import (
     DimensionGuardError,
-    MeasurementOutcome,
     QuditState,
     UnnormalizedStateError,
     analytic_post_transform_state,
     apply_iqft,
     apply_qft,
     apply_shift,
-    digits_to_index,
-    index_to_digits,
     marginal_distribution,
     measure_all,
     measure_position,
+    post_transform_state,
     prepare_ghz,
     qft_matrix,
-    sample_counts,
 )
 
 
 def basis_state(d, t, digits):
     amps = np.zeros(d**t, dtype=complex)
-    amps[digits_to_index(digits, d)] = 1.0
+    amps[np.ravel_multi_index(digits, (d,) * t)] = 1.0
     return QuditState(d, t, amps)
 
 
@@ -34,18 +31,12 @@ def random_state(d, t, rng):
     return QuditState(d, t, amps / np.linalg.norm(amps))
 
 
-def test_index_digit_round_trip():
-    for d, t in [(2, 3), (3, 2), (11, 3)]:
-        for i in range(d**t):
-            assert digits_to_index(index_to_digits(i, d, t), d) == i
-
-
 def test_prepare_ghz_reference_cases():
     state = prepare_ghz(3, 11)
     nz = np.flatnonzero(np.abs(state.amplitudes) > 1e-12)
     assert len(nz) == 11
     for i in nz:
-        digits = index_to_digits(int(i), 11, 3)
+        digits = np.unravel_index(i, (11,) * 3)
         assert len(set(digits)) == 1
         assert state.amplitudes[i] == pytest.approx(1 / np.sqrt(11))
 
@@ -98,9 +89,8 @@ def test_iqft_inverts_qft():
         for pos in range(1, t + 1):
             back = apply_iqft(apply_qft(state, pos), pos)
             np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
-    assert apply_iqft(apply_qft(basis_state(3, 1, (2,)), 1), 1).amplitudes[
-        digits_to_index((2,), 3)
-    ] == pytest.approx(1.0, abs=1e-10)
+    back = apply_iqft(apply_qft(basis_state(3, 1, (2,)), 1), 1)
+    assert back.amplitudes[2] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_iqft_d2_is_hadamard():
@@ -143,7 +133,7 @@ def analytic_oracle(t, d, shadows):
     for a in itertools.product(range(d), repeat=t):
         if sum(a) % d == 0:
             digits = tuple((ai + mi) % d for ai, mi in zip(a, shadows))
-            amps[digits_to_index(digits, d)] = d ** (-(t - 1) / 2)
+            amps[np.ravel_multi_index(digits, (d,) * t)] = d ** (-(t - 1) / 2)
     return amps
 
 
@@ -153,7 +143,7 @@ def test_analytic_state_paper_parameters():
     assert len(nz) == 121
     for i in nz:
         assert state.amplitudes[i] == pytest.approx(1 / 11)
-        assert sum(index_to_digits(int(i), 11, 3)) % 11 == 5
+        assert sum(np.unravel_index(i, (11,) * 3)) % 11 == 5
 
 
 def test_analytic_state_single_qudit():
@@ -163,8 +153,8 @@ def test_analytic_state_single_qudit():
 
 def test_analytic_state_small_support():
     state = analytic_post_transform_state(2, 3, (1, 2))
-    nz = {index_to_digits(int(i), 3, 2) for i in
-          np.flatnonzero(np.abs(state.amplitudes) > 1e-12)}
+    nz = set(zip(*np.unravel_index(np.flatnonzero(np.abs(state.amplitudes) > 1e-12),
+                                   (3, 3))))
     assert nz == {(1, 2), (2, 1), (0, 0)}
     np.testing.assert_allclose(state.amplitudes, analytic_oracle(2, 3, (1, 2)))
 
@@ -177,37 +167,26 @@ def test_analytic_state_matches_enumeration_oracle():
         np.testing.assert_allclose(state.amplitudes, analytic_oracle(t, d, shadows))
 
 
-def simulate_post_transform(t, d, shadows):
-    state = prepare_ghz(t, d)
-    for pos in range(1, t + 1):
-        state = apply_qft(state, pos)
-        state = apply_shift(state, pos, shadows[pos - 1])
-    return state
-
-
 def test_simulated_equals_analytic():
     rng = np.random.default_rng(13)
     for d, t in [(2, 2), (3, 2), (3, 3), (5, 3), (7, 2), (11, 3)]:
         for _ in range(5):
             shadows = tuple(int(x) for x in rng.integers(0, d, size=t))
-            sim = simulate_post_transform(t, d, shadows)
+            sim = post_transform_state(shadows, d)
             ana = analytic_post_transform_state(t, d, shadows)
             assert np.max(np.abs(sim.amplitudes - ana.amplitudes)) <= 1e-9
 
 
 def test_measure_all_deterministic_on_basis_state():
     rng = np.random.default_rng(0)
-    out = measure_all(basis_state(11, 1, (5,)), rng)
-    assert out == MeasurementOutcome((5,))
-    assert out.label() == "5"
+    assert measure_all(basis_state(11, 1, (5,)), rng) == (5,)
 
 
 def test_measure_all_digit_sum_law():
     rng = np.random.default_rng(1)
     state = analytic_post_transform_state(3, 11, (5, 4, 7))
     for _ in range(200):
-        out = measure_all(state, rng)
-        assert sum(out.digits) % 11 == 5
+        assert sum(measure_all(state, rng)) % 11 == 5
 
 
 def test_measure_all_ghz_statistics():
@@ -216,8 +195,7 @@ def test_measure_all_ghz_statistics():
     counts = {(c, c): 0 for c in range(3)}
     shots = 10_000
     for _ in range(shots):
-        out = measure_all(state, rng)
-        counts[out.digits] += 1  # KeyError on any off-diagonal outcome
+        counts[measure_all(state, rng)] += 1  # KeyError on any off-diagonal outcome
     sigma = (shots * (1 / 3) * (2 / 3)) ** 0.5
     for c in counts.values():
         assert abs(c - shots / 3) < 5 * sigma
@@ -234,7 +212,7 @@ def test_measure_position_collapses_ghz():
     rng = np.random.default_rng(3)
     digit, collapsed = measure_position(prepare_ghz(3, 5), 2, rng)
     expected = np.zeros(5**3, dtype=complex)
-    expected[digits_to_index((digit, digit, digit), 5)] = 1.0
+    expected[np.ravel_multi_index((digit, digit, digit), (5,) * 3)] = 1.0
     np.testing.assert_allclose(collapsed.amplitudes, expected, atol=1e-12)
 
 
@@ -244,25 +222,6 @@ def test_marginal_distribution_uniform_on_ghz_leg():
         np.testing.assert_allclose(marginal, np.full(11, 1 / 11), atol=1e-12)
 
 
-def test_sample_counts_basis_state():
-    counts = sample_counts(basis_state(11, 1, (5,)), 8192, seed=0)
-    assert counts == {(5,): 8192}
-
-
-def test_sample_counts_paper_state_support():
-    state = analytic_post_transform_state(3, 11, (5, 4, 7))
-    counts = sample_counts(state, 8192, seed=1)
-    assert sum(counts.values()) == 8192
-    assert all(sum(digits) % 11 == 5 for digits in counts)
-
-
-def test_sample_counts_binomial_statistics():
-    counts = sample_counts(prepare_ghz(1, 2), 100_000, seed=2)
-    sigma = (100_000 * 0.25) ** 0.5
-    for digit in ((0,), (1,)):
-        assert abs(counts[digit] - 50_000) < 5 * sigma
-
-
 def test_norm_preserved_across_protocol_pass():
-    state = simulate_post_transform(3, 11, (5, 4, 7))
+    state = post_transform_state((5, 4, 7), 11)
     assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-9
