@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -96,8 +95,10 @@ def _bound_margins(
     }
 
 
-def _counts_to_dist(counts: Counter, shots: int) -> dict[str, float]:
-    return {str(k): v / shots for k, v in sorted(counts.items())}
+def _counts_to_dist(counts: np.ndarray, shots: int) -> dict[str, float]:
+    """``counts[k]`` shots of outcome k as a distribution over the outcomes
+    that occurred, in ascending order."""
+    return {str(k): v / shots for k, v in enumerate(counts.tolist()) if v}
 
 
 def intercept_and_measure(
@@ -137,13 +138,12 @@ def intercept_and_measure(
 
     rng = np.random.default_rng(configs[0].seed)
     distributions: dict[str, dict[str, float]] = {}
-    pooled: Counter = Counter()
+    pooled = np.zeros(d, dtype=np.int64)
     for cfg in configs:
         prepared = prepare_run(cfg, rng)
         post_transform_branches(prepared.shadows, d, tap)
-        sampled = rng.multinomial(shots, in_flight.pop())
-        counts = Counter({c: int(v) for c, v in enumerate(sampled) if v > 0})
-        pooled.update(counts)
+        counts = rng.multinomial(shots, in_flight.pop())
+        pooled += counts
         distributions[str(cfg.secrets)] = _counts_to_dist(counts, shots)
 
     uniform = {str(c): 1.0 / d for c in range(d)}
@@ -155,7 +155,7 @@ def intercept_and_measure(
         tv[f"{label} vs uniform"] = tv_distance(distributions[label], uniform)
 
     total = shots * len(secret_pairs)
-    guess_rate = max(pooled.values()) / total
+    guess_rate = int(pooled.max()) / total
     margins = _bound_margins(max(tv.values()), uniformity_bound(d, shots),
                              guess_rate, guess_rate_bound(d, total), d)
     return AttackReport(
@@ -199,23 +199,21 @@ def intercept_resend(
         return affine.collapse_branches(state, position)
 
     attacked = run_protocol(attacked_cfg, tap=tap)
-    attacker_counts: Counter = Counter()
-    per_branch = np.bincount(attacked.tap_branch, minlength=len(attacked.tap_labels))
-    for labels, count in zip(attacked.tap_labels, per_branch.tolist()):
-        if count:
-            attacker_counts[labels[tap_position - 2]] += count
-    aggregate_counts = Counter(attacked.per_shot_sums.tolist())
-
     d, shots = cfg.d, attacked_cfg.shots
+    # Each branch's label at the tap is the attacker's digit.
+    digit = [labels[tap_position - 2] for labels in attacked.tap_labels]
+    attacker_counts = np.zeros(d, dtype=np.int64)
+    np.add.at(attacker_counts, digit,
+              np.bincount(attacked.tap_branch, minlength=len(digit)))
     attacker_dist = _counts_to_dist(attacker_counts, shots)
-    aggregate_dist = _counts_to_dist(aggregate_counts, shots)
+    aggregate_dist = _counts_to_dist(np.bincount(attacked.per_shot_sums), shots)
     uniform = {str(c): 1.0 / d for c in range(d)}
     honest_dist = {str(honest.result): 1.0}
     tv = {
         "attacker vs uniform": tv_distance(attacker_dist, uniform),
         "attacked aggregate vs honest": tv_distance(aggregate_dist, honest_dist),
     }
-    guess_rate = max(attacker_counts.values()) / shots
+    guess_rate = int(attacker_counts.max()) / shots
     # The attacked aggregate is meant to differ from the honest one, so only
     # the attacker's view is held to the uniformity bound.
     margins = _bound_margins(tv["attacker vs uniform"], uniformity_bound(d, shots),

@@ -19,8 +19,9 @@ import numpy as np
 
 from .zmod import INT64_MODULUS_BOUND, is_prime, row_reduce
 
-# Tap branches held at once. Each holds O(t^2) integers, and each costs one
-# sampler call, so the count is what a tap on many legs multiplies.
+# Tap branches held at once. Each holds O(t^2) integers, and each that ends
+# in a state of its own costs one Fourier layer and one sampler call, so the
+# count is what a tap on many legs multiplies.
 BRANCH_GUARD = 2**12
 
 
@@ -126,25 +127,31 @@ def fourier_shift(state: AffineState, shadows) -> AffineState:
 
 def sample(state: AffineState, shots: int, rng: np.random.Generator) -> np.ndarray:
     """``shots`` computational-basis outcomes, shape (shots, t), in one draw:
-    offset + r @ basis mod d for uniform r in Z_d^k."""
+    offset + r @ basis mod d for uniform r in Z_d^k.
+
+    The result is the transpose of a (t, shots) array, so each qudit's
+    digits are contiguous. Drawing n1 then n2 shots takes the same values
+    from ``rng`` as drawing n1 + n2 at once.
+    """
     d, basis, offset = state.d, state.basis, state.offset
-    coeffs = rng.integers(0, d, size=(shots, len(basis)))
-    out = np.empty((shots, state.t), dtype=np.int64)
+    coeffs = rng.integers(0, d, size=(shots, len(basis))).T  # (k, shots)
+    out = np.empty((state.t, shots), dtype=np.int64)
     # A column of the basis that is a unit vector copies one coefficient (the
     # dual ``fourier_shift`` builds is the identity on all but its pivot
     # columns); only the other columns need the product.
     unit = ((basis != 0).sum(axis=0) == 1) & (basis.sum(axis=0) == 1)
     _, rows = np.nonzero(basis[:, unit].T)
-    out[:, unit] = (coeffs[:, rows] + offset[unit]) % d
+    out[unit] = (coeffs[rows] + offset[unit, None]) % d
     rest = ~unit
-    basis, acc = basis[:, rest], np.tile(offset[rest], (shots, 1))
+    basis = basis[:, rest]
+    acc = np.repeat(offset[rest, None], shots, axis=1)
     # Exact in int64: a residue plus a block of ``step`` products stays below 2^63.
     step = max(1, (2**63 - d) // (d - 1) ** 2)
     for start in range(0, len(basis), step):
-        acc += coeffs[:, start:start + step] @ basis[start:start + step]
+        acc += basis[start:start + step].T @ coeffs[start:start + step]
         acc %= d
-    out[:, rest] = acc
-    return out
+    out[rest] = acc
+    return out.T
 
 
 def support_mask(state: AffineState) -> np.ndarray:

@@ -297,13 +297,18 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
 def post_transform_branches(
     shadows: Sequence[int], d: int, tap: QuantumTap | None = None
 ) -> list[tuple[float, tuple, AffineState]]:
-    """Steps 4-5, simulated once per tap branch on affine states.
+    """Steps 4-5 on affine states.
 
     The initiator prepares the GHZ state and sends legs 2..t through
     ``tap``; then the player in slot u applies the QFT and X^{shadow_u}.
     Returns (probability, labels, post-transform state) per branch, with
     one label per tapped send. Without a tap there is one branch of
     weight 1.
+
+    The post-transform state depends on the basis alone (the offset only
+    sets phases), so consecutive branches whose bases are equal share one
+    ``fourier_shift`` result, the same object: the d children of a
+    collapse share one.
     """
     t = len(shadows)
     branches = [(1.0, (), affine.prepare_ghz(t, d))]
@@ -317,7 +322,13 @@ def post_transform_branches(
                 # next send multiplies them again.
                 affine.check_branches(len(tapped))
             branches = tapped
-    return [(w, lb, affine.fourier_shift(s, shadows)) for w, lb, s in branches]
+    out, basis, shifted = [], None, None
+    for weight, labels, state in branches:
+        if shifted is None or not (state.basis is basis
+                                   or np.array_equal(state.basis, basis)):
+            basis, shifted = state.basis, affine.fourier_shift(state, shadows)
+        out.append((weight, labels, shifted))
+    return out
 
 
 @dataclass(frozen=True)
@@ -340,8 +351,10 @@ def run_quantum_phase(
     tap: QuantumTap | None = None,
 ) -> PhaseOutcomes:
     """Steps 4-6: simulate each tap branch once, draw every shot's branch in
-    one call, then every branch's shots in one call.
+    one call, then the shots of each run of consecutive branches that end
+    in the same state in one call.
 
+    Shots are drawn grouped by branch, in shot order within each branch.
     ``tap`` intercepts the initiator's particle sends (positions 2..t)
     before any QFT is applied; it is how adversaries are wired in.
     """
@@ -351,14 +364,23 @@ def run_quantum_phase(
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"tap branch probabilities sum to {total}, not 1")
     branch = rng.choice(len(weights), size=shots, p=weights / total)
-    # Shots grouped by branch, in shot order within each branch.
-    order = np.argsort(branch, kind="stable")
-    digits = np.empty((shots, len(shadows)), dtype=np.int64)
-    start = 0
-    for (_, _, state), count in zip(branches, np.bincount(branch).tolist()):
-        digits[order[start:start + count]] = affine.sample(state, count, rng)
-        start += count
-    return PhaseOutcomes(digits, branch, [labels for _, labels, _ in branches])
+    labels = [branch_labels for _, branch_labels, _ in branches]
+    if len(branches) == 1:
+        return PhaseOutcomes(affine.sample(branches[0][2], shots, rng), branch, labels)
+    # A stable sort of ints of at most 16 bits is a radix sort.
+    order = np.argsort(branch.astype(np.min_scalar_type(len(branches) - 1)),
+                       kind="stable")
+    digits = np.empty((len(shadows), shots), dtype=np.int64).T
+    # Drawing a run of branches' shots at once takes the same values from
+    # ``rng`` as drawing each branch's shots in turn.
+    start = end = 0
+    states = [state for _, _, state in branches]
+    for i, count in enumerate(np.bincount(branch, minlength=len(branches)).tolist()):
+        end += count
+        if i + 1 == len(states) or states[i + 1] is not states[i]:
+            digits[order[start:end]] = affine.sample(states[i], end - start, rng)
+            start = end
+    return PhaseOutcomes(digits, branch, labels)
 
 
 def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
@@ -367,24 +389,31 @@ def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     ``digits`` holds one row per shot; returns one int64 sum per shot.
     """
     digits = np.asarray(digits, dtype=np.int64)
-    outside = (digits < 0) | (digits >= d)
-    if outside.any():
+    if digits.size and (digits.min() < 0 or digits.max() >= d):
+        outside = (digits < 0) | (digits >= d)
         raise ValueError(f"digit {digits[outside][0]} outside [0, {d})")
-    return digits.sum(axis=-1) % d
+    # Column by column: one pass over each qudit's digits, not a short
+    # reduction per shot.
+    sums = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for column in np.moveaxis(digits, -1, 0):
+        sums += column
+    return sums % d
 
 
-def _json_int_array(distinct: np.ndarray, inverse: np.ndarray, depth: int) -> str:
-    """``json.dumps(distinct[inverse].tolist(), indent=2)`` re-indented to ``depth``.
+def _json_int_array(distinct: np.ndarray, inverse: np.ndarray, depth: int) -> list[str]:
+    """``json.dumps(distinct[inverse].tolist(), indent=2)`` re-indented to
+    ``depth``, as pieces for the caller to join.
 
     ``distinct`` holds the distinct entries along axis 0 and ``inverse`` the
-    entry each position of the list takes. Each distinct entry is written
-    once, by filling one template of ``%d`` slots, and the texts are joined
-    in ``inverse`` order, so no entry passes through the pure-Python encoder
-    that ``json.dumps`` falls back on with an indent.
+    entry each position of the list takes. Its scalars are ints or their
+    texts already formatted. Each distinct entry is written once, by filling
+    one template of ``%s`` slots, and the texts are joined in ``inverse``
+    order, so no entry passes through the pure-Python encoder that
+    ``json.dumps`` falls back on with an indent.
     """
     if not len(inverse):
-        return "[]"
-    template = "%d"
+        return ["[]"]
+    template = "%s"
     for axis in reversed(range(1, distinct.ndim)):
         indent = "\n" + "  " * (depth + axis)
         template = (
@@ -395,7 +424,7 @@ def _json_int_array(distinct: np.ndarray, inverse: np.ndarray, depth: int) -> st
     texts = np.array([template % tuple(entry) for entry in
                       distinct.reshape(len(distinct), -1).tolist()], dtype=object)
     indent = "\n" + "  " * depth
-    return f"[{indent}  " + f",{indent}  ".join(texts[inverse].tolist()) + f"{indent}]"
+    return [f"[{indent}  ", f",{indent}  ".join(texts[inverse].tolist()), f"{indent}]"]
 
 
 @dataclass
@@ -432,17 +461,29 @@ class ProtocolTranscript:
                 self.outcomes, axis=0, return_inverse=True, return_counts=True)
         return rows, inverse.reshape(-1), counts
 
+    @functools.cached_property
+    def _outcome_texts(self) -> np.ndarray:
+        """``_outcome_table``'s distinct rows with each digit as its text,
+        an object array: the histogram labels and the outcome rows' JSON
+        are both joined from it."""
+        rows = self._outcome_table[0]
+        # Each distinct digit value is formatted once: all d of them when
+        # the rows hold at least d digits, else those the rows hold.
+        values, codes = ((np.arange(self.config.d), rows) if self.config.d <= rows.size
+                         else np.unique(rows, return_inverse=True))
+        texts = np.array(list(map(str, values.tolist())), dtype=object)
+        return texts[codes.reshape(rows.shape)]
+
     def histogram(self) -> dict:
         """JSON-ready histogram keyed by dash-joined digit strings, in
         ascending digit order."""
-        rows, _, counts = self._outcome_table
-        label = "-".join(["%d"] * self.config.t)
+        counts = self._outcome_table[2]
         return {
             "d": self.config.d,
             "t": self.config.t,
             "shots": len(self.outcomes),
             "seed": self.seed,
-            "counts": dict(zip([label % tuple(row) for row in rows.tolist()],
+            "counts": dict(zip(map("-".join, self._outcome_texts.tolist()),
                                counts.tolist())),
         }
 
@@ -478,18 +519,17 @@ class ProtocolTranscript:
         """``json.dumps(self.to_dict(), indent=2)``, byte for byte."""
         # The per-shot arrays as (distinct entries, each shot's index).
         per_shot = {
-            "outcomes": self._outcome_table[:2],
+            "outcomes": (self._outcome_texts, self._outcome_table[1]),
             "per_shot_sums": np.unique(self.per_shot_sums, return_inverse=True),
         }
         # An encoded string holds no raw newline, so re-indenting a section
-        # by its newlines is exact.
-        body = ",\n".join(
-            f"  {json.dumps(key)}: "
-            + (_json_int_array(*per_shot[key], 1) if key in per_shot
-               else json.dumps(value, indent=2).replace("\n", "\n  "))
-            for key, value in self._items()
-        )
-        return "{\n" + body + "\n}"
+        # by its newlines is exact. The text is joined once, from pieces.
+        pieces = []
+        for key, value in self._items():
+            pieces += [",\n  " if pieces else "{\n  ", json.dumps(key), ": "]
+            pieces += (_json_int_array(*per_shot[key], 1) if key in per_shot
+                       else [json.dumps(value, indent=2).replace("\n", "\n  ")])
+        return "".join(pieces + ["\n}"])
 
 
 def run_protocol(

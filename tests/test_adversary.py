@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsms import adversary
+from qsms import adversary, affine
 from qsms.adversary import (
     ThresholdReachedError,
     collusion_inference,
@@ -144,6 +144,24 @@ def test_intercept_resend_attacker_sees_uniform_d11():
     assert report.passed
     assert report.details["honest_result"] == 5
     assert abs(report.guess_rate - 1 / 11) < 0.05
+
+
+def test_intercept_resend_runs_one_fourier_layer_and_one_draw_per_run(monkeypatch):
+    # The d collapse branches share a basis, so they end in one state: one
+    # Fourier layer and one draw for the tapped run, one of each for the
+    # honest reference run, where one per branch would make 1 + 11 of each.
+    calls = {"fourier_shift": 0, "sample": 0}
+    for name in calls:
+        original = getattr(affine, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(affine, name, counted)
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16, seed=5)
+    assert intercept_resend(cfg, tap_position=2, shots=4096, seed=6).passed
+    assert calls == {"fourier_shift": 2, "sample": 2}
 
 
 def _margin_reports():

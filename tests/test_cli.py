@@ -308,6 +308,11 @@ PINNED_OUTPUTS = {
     "intercept-resend": (["attack", "--kind", "intercept-resend", "--shots", "4096",
                           "--seed", "5"],
                          "b95fdee546c19c9e0b404d696aec3aca7fa4b7516a39fc9543e99b0070acb30e"),
+    # One draw covers 101 tap branches that end in the same state.
+    "intercept-resend t=50": (["attack", "--kind", "intercept-resend", "--n", "60",
+                               "--t", "50", "--d", "101", "--shots", "2000",
+                               "--seed", "5"],
+                              "4be101d229c4fc1fdcc8cca0eeed4abe39761ef26b11f444f984cea690d54d5a"),
     "collusion": (["attack", "--kind", "collusion", "--colluders", "2,3", "--seed", "7"],
                   "d5ce425f96675580ad73024a52c323f54316ff3acbfbbd2421736d5baeac940f"),
 }

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qsms.protocol import (
@@ -243,6 +243,77 @@ def test_tap_branches_count_against_guard(monkeypatch):
     assert calls == [2] + [3] * 64
 
 
+def _per_branch_quantum_phase(shadows, d, shots, rng, tap):
+    """The quantum phase with one Fourier layer and one draw per tap branch,
+    each branch's outcomes offset + r @ basis mod d: the oracle for the
+    shared layers and draws of ``run_quantum_phase``."""
+    branches = [(1.0, (), affine.prepare_ghz(len(shadows), d))]
+    for position in range(2, len(shadows) + 1):
+        branches = [(w * p, labels + (label,), out) for w, labels, state in branches
+                    for p, label, out in tap(state, position)]
+    branches = [(w, labels, affine.fourier_shift(state, shadows))
+                for w, labels, state in branches]
+    weights = np.array([weight for weight, _, _ in branches])
+    branch = rng.choice(len(weights), size=shots, p=weights / weights.sum())
+    order = np.argsort(branch, kind="stable")
+    digits = np.empty((shots, len(shadows)), dtype=np.int64)
+    start = 0
+    for (_, _, state), count in zip(branches, np.bincount(branch).tolist()):
+        coeffs = rng.integers(0, d, size=(count, len(state.basis)))
+        digits[order[start:start + count]] = (state.offset + coeffs @ state.basis) % d
+        start += count
+    return digits, branch, [labels for _, labels, _ in branches]
+
+
+def _copied(branches):
+    """The branches with equal but distinct basis arrays."""
+    return [(p, label, affine.AffineState(s.d, s.offset, s.basis.copy()))
+            for p, label, s in branches]
+
+
+# Per tapped leg: collapse, collapse into distinct basis arrays, or pass
+# with probability 1/2 and collapse otherwise, so equal states alternate
+# with others.
+_LEG_TAPS = {
+    "collapse": collapse_branches,
+    "copies": lambda state, position: _copied(collapse_branches(state, position)),
+    "mixed": lambda state, position: [(0.5, "pass", state)] + [
+        (p / 2, label, out) for p, label, out in collapse_branches(state, position)],
+}
+
+
+@st.composite
+def _tapped_phases(draw):
+    """(shadows, d, shots, seed, legs): d <= 31, t <= 5, 1..300 shots, and
+    a leg tap from ``_LEG_TAPS`` on any subset of legs 2..t."""
+    d = draw(st.sampled_from([2, *_ODD_PRIMES]))
+    t = draw(st.integers(2, 5))
+    shadows = draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
+    legs = draw(st.dictionaries(st.integers(2, t), st.sampled_from(list(_LEG_TAPS))))
+    return shadows, d, draw(st.integers(1, 300)), draw(st.integers(0, 2**32)), legs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_tapped_phases())
+@example(case=([5, 4, 7], 11, 300, 1, {2: "collapse"}))  # intercept-resend's tap
+@example(case=([5, 4, 7], 11, 300, 1, {2: "copies"}))
+@example(case=([1, 2, 3, 4], 5, 300, 2, {2: "mixed", 4: "mixed"}))
+def test_run_quantum_phase_matches_per_branch_oracle(case):
+    shadows, d, shots, seed, legs = case
+
+    def tap(state, position):
+        if position in legs:
+            return _LEG_TAPS[legs[position]](state, position)
+        return [(1.0, None, state)]
+
+    phase = run_quantum_phase(shadows, d, shots, np.random.default_rng(seed), tap=tap)
+    digits, branch, labels = _per_branch_quantum_phase(
+        shadows, d, shots, np.random.default_rng(seed), tap)
+    np.testing.assert_array_equal(phase.digits, digits)
+    np.testing.assert_array_equal(phase.branch, branch)
+    assert phase.labels == labels
+
+
 @pytest.mark.parametrize("d", [2**31 + 11, 2**61 - 1])
 def test_quantum_phase_rejects_modulus_beyond_int64(d):
     # Products of two residues must stay below 2^63, so d < 2^31.
@@ -258,6 +329,38 @@ def test_aggregate():
     assert aggregate([(1, 2), (2, 1), (0, 0)], 3).tolist() == [0, 0, 0]
     with pytest.raises(ValueError, match="digit"):
         aggregate([(11,)], 11)
+
+
+@st.composite
+def _digit_arrays(draw):
+    """(digits, d): a (shots, t) array with 0 to 50 shots, C- or F-ordered,
+    or a single row of t digits."""
+    d = draw(st.sampled_from([2, 3, 11, 101, 2**31 - 1]))
+    t = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(t,), (0, t), (draw(st.integers(1, 50)), t)]))
+    digits = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, d - 1)))
+    return (np.asfortranarray(digits) if draw(st.booleans()) else digits), d
+
+
+@given(case=_digit_arrays())
+@example(case=(np.empty((0, 3), dtype=np.int64), 11))
+@example(case=(np.array([5, 4, 7]), 11))
+@example(case=(np.asfortranarray([[5, 4, 7], [10, 10, 10]]), 11))
+def test_aggregate_matches_row_sum(case):
+    digits, d = case
+    np.testing.assert_array_equal(aggregate(digits, d), np.sum(digits, axis=-1) % d)
+
+
+@given(case=_digit_arrays(), data=st.data())
+def test_aggregate_names_first_digit_out_of_range(case, data):
+    digits, d = case
+    assume(digits.size)
+    digits = digits.copy(order="A")
+    at = data.draw(st.integers(0, digits.size - 1))
+    digits.flat[at] = data.draw(st.sampled_from([-1, d, 2 * d + 3]))
+    first = next(v for v in digits.ravel().tolist() if not 0 <= v < d)
+    with pytest.raises(ValueError, match=rf"^digit {first} outside \[0, {d}\)$"):
+        aggregate(digits, d)
 
 
 def test_run_protocol_reference_result():
@@ -420,7 +523,7 @@ def test_json_int_array_matches_stdlib_encoder(table, depth):
     distinct, inverse = table
     expected = json.dumps(distinct[inverse].tolist(), indent=2).replace(
         "\n", "\n" + "  " * depth)
-    assert _json_int_array(distinct, inverse, depth) == expected
+    assert "".join(_json_int_array(distinct, inverse, depth)) == expected
 
 
 def test_resolved_bounds_outcome_entries(monkeypatch):
