@@ -82,49 +82,56 @@ class AttackReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _bound_margins(
-    tv: float, tv_bound: float, guess_rate: float, rate_bound: float, d: int
-) -> dict[str, float]:
-    """Each bound and how far its statistic sits inside it; a negative
-    margin is a failed check."""
-    return {
-        "tv_bound": tv_bound,
-        "guess_rate_bound": rate_bound,
-        "tv_margin": tv_bound - tv,
-        "guess_rate_margin": rate_bound - abs(guess_rate - 1.0 / d),
-    }
-
-
 def _counts_to_dist(counts: np.ndarray, shots: int) -> dict[str, float]:
     """``counts[k]`` shots of outcome k as a distribution over the outcomes
     that occurred, in ascending order."""
     return {str(k): v / shots for k, v in enumerate(counts.tolist()) if v}
 
 
-def intercept_and_measure(
-    secret_pairs: Sequence[tuple[int, ...]],
-    n: int,
-    t: int,
-    d: int,
-    shots: int,
-    seed: int = 0,
-    tap_position: int = 2,
-) -> AttackReport:
+def _tap_report(kind: str, tap_position: int, shots: int, counts: np.ndarray,
+                distributions: dict, tv: dict[str, float], checked_tv: float,
+                **details) -> AttackReport:
+    """The report of a tap attack whose attacker saw digit k ``counts[k]``
+    times, over Z_d with d = ``len(counts)``. ``checked_tv`` is held to the
+    uniformity bound at ``shots``, the guess rate to its bound at every
+    counted shot. ``details`` come first, then each bound and how far its
+    statistic sits inside it; a negative margin is a failed check."""
+    d, total = len(counts), int(counts.sum())
+    guess_rate = int(counts.max()) / total
+    tv_bound, rate_bound = uniformity_bound(d, shots), guess_rate_bound(d, total)
+    margins = {
+        "tv_bound": tv_bound,
+        "guess_rate_bound": rate_bound,
+        "tv_margin": tv_bound - checked_tv,
+        "guess_rate_margin": rate_bound - abs(guess_rate - 1.0 / d),
+    }
+    return AttackReport(
+        scenario=AttackScenario(kind, f"particle->P[{tap_position}]", shots),
+        shots=shots,
+        distributions=distributions,
+        tv_distances=tv,
+        guess_rate=guess_rate,
+        baseline=1.0 / d,
+        passed=min(margins["tv_margin"], margins["guess_rate_margin"]) >= 0,
+        details={**details, **margins},
+    )
+
+
+def intercept_and_measure(config: RunConfig, secret_pairs: Sequence[tuple[int, ...]],
+                          tap_position: int = 2) -> AttackReport:
     """Tap the initiator's send to one qualified player and measure it.
 
-    For each secret tuple the classical phase runs and the protocol's
-    quantum phase sends its legs through a tap, which reads the tapped
-    leg's marginal in flight; that marginal is sampled ``shots`` times.
-    The report compares the per-secret distributions (they should be
-    statistically indistinguishable and uniform) and the attacker's
-    best-guess success rate against the 1/d baseline.
+    For each secret tuple, ``config`` with those secrets runs its classical
+    phase, and the protocol's quantum phase sends its legs through a tap
+    that reads the tapped leg's marginal in flight; that marginal is
+    sampled ``shots`` times. The report compares the per-secret
+    distributions (they should be statistically indistinguishable and
+    uniform) and the attacker's best-guess success rate against the 1/d
+    baseline.
     """
     if len(secret_pairs) < 2:
         raise ValueError("need at least two secret tuples to compare")
-    configs = [
-        RunConfig(secrets=secrets, n=n, t=t, d=d, shots=shots, seed=seed).resolved()
-        for secrets in secret_pairs
-    ]
+    configs = [replace(config, secrets=pair).resolved() for pair in secret_pairs]
     d, t, shots = configs[0].d, configs[0].t, configs[0].shots
     if not 2 <= tap_position <= t:
         raise ValueError(f"tap position must be in 2..{t}")
@@ -153,42 +160,22 @@ def intercept_and_measure(
         tv[f"{a} vs {b}"] = tv_distance(distributions[a], distributions[b])
     for label in labels:
         tv[f"{label} vs uniform"] = tv_distance(distributions[label], uniform)
-
-    total = shots * len(secret_pairs)
-    guess_rate = int(pooled.max()) / total
-    margins = _bound_margins(max(tv.values()), uniformity_bound(d, shots),
-                             guess_rate, guess_rate_bound(d, total), d)
-    return AttackReport(
-        scenario=AttackScenario("intercept", f"particle->P[{tap_position}]", shots),
-        shots=shots,
-        distributions=distributions,
-        tv_distances=tv,
-        guess_rate=guess_rate,
-        baseline=1.0 / d,
-        passed=min(margins["tv_margin"], margins["guess_rate_margin"]) >= 0,
-        details=margins,
-    )
+    return _tap_report("intercept", tap_position, shots, pooled, distributions,
+                       tv, max(tv.values()))
 
 
-def intercept_resend(
-    config: RunConfig,
-    tap_position: int,
-    shots: int,
-    seed: int = 0,
-) -> AttackReport:
+def intercept_resend(config: RunConfig, tap_position: int = 2) -> AttackReport:
     """Measure an in-flight leg and forward the collapsed particle.
 
     Reports the attacker's outcome distribution (uniform, success 1/d)
     and the downstream damage: the attacked run's aggregate spreads over
-    Z_d while the honest run is a constant. The attacked run is ``config``
-    with ``shots`` and ``seed`` replaced.
+    Z_d while the honest run is a constant.
     """
     cfg = config.resolved()
-    attacked_cfg = replace(config, shots=shots, seed=seed).resolved()
     if not 2 <= tap_position <= cfg.t:
         raise ValueError(f"tap position must be in 2..{cfg.t}")
 
-    # Only the honest result is read, and no shot changes it.
+    # Only the honest result is read, and no shot or seed changes it.
     honest = run_protocol(replace(cfg, shots=1))
 
     def tap(state, position):
@@ -198,8 +185,8 @@ def intercept_resend(
             return [(1.0, None, state)]
         return affine.collapse_branches(state, position)
 
-    attacked = run_protocol(attacked_cfg, tap=tap)
-    d, shots = cfg.d, attacked_cfg.shots
+    attacked = run_protocol(cfg, tap=tap)
+    d, shots = cfg.d, cfg.shots
     # Each branch's label at the tap is the attacker's digit.
     digit = [labels[tap_position - 2] for labels in attacked.tap_labels]
     attacker_counts = np.zeros(d, dtype=np.int64)
@@ -208,25 +195,17 @@ def intercept_resend(
     attacker_dist = _counts_to_dist(attacker_counts, shots)
     aggregate_dist = _counts_to_dist(np.bincount(attacked.per_shot_sums), shots)
     uniform = {str(c): 1.0 / d for c in range(d)}
-    honest_dist = {str(honest.result): 1.0}
     tv = {
         "attacker vs uniform": tv_distance(attacker_dist, uniform),
-        "attacked aggregate vs honest": tv_distance(aggregate_dist, honest_dist),
+        "attacked aggregate vs honest": tv_distance(aggregate_dist,
+                                                    {str(honest.result): 1.0}),
     }
-    guess_rate = int(attacker_counts.max()) / shots
     # The attacked aggregate is meant to differ from the honest one, so only
     # the attacker's view is held to the uniformity bound.
-    margins = _bound_margins(tv["attacker vs uniform"], uniformity_bound(d, shots),
-                             guess_rate, guess_rate_bound(d, shots), d)
-    return AttackReport(
-        scenario=AttackScenario("intercept-resend", f"particle->P[{tap_position}]", shots),
-        shots=shots,
-        distributions={"attacker": attacker_dist, "attacked_aggregate": aggregate_dist},
-        tv_distances=tv,
-        guess_rate=guess_rate,
-        baseline=1.0 / d,
-        passed=min(margins["tv_margin"], margins["guess_rate_margin"]) >= 0,
-        details={"honest_result": honest.result, **margins},
+    return _tap_report(
+        "intercept-resend", tap_position, shots, attacker_counts,
+        {"attacker": attacker_dist, "attacked_aggregate": aggregate_dist},
+        tv, tv["attacker vs uniform"], honest_result=honest.result,
     )
 
 

@@ -20,12 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import affine, qudit
-from .adversary import (
-    ThresholdReachedError,
-    collusion_inference,
-    intercept_and_measure,
-    intercept_resend,
-)
+from .adversary import collusion_inference, intercept_and_measure, intercept_resend
 from .affine import DimensionGuardError
 from .protocol import ConfigError, RunConfig, post_transform_branches, run_protocol
 
@@ -160,23 +155,18 @@ def cmd_attack(args: argparse.Namespace) -> int:
     config = RunConfig(secrets=args.secrets, n=args.n, t=args.t, d=args.d,
                        shots=args.shots, seed=args.seed)
     if args.kind == "intercept":
-        report = intercept_and_measure(args.secret_pairs, n=args.n, t=args.t, d=args.d,
-                                       shots=args.shots, seed=args.seed)
+        report = intercept_and_measure(config, args.secret_pairs)
     elif args.kind == "intercept-resend":
-        report = intercept_resend(config, tap_position=2, shots=args.shots,
-                                  seed=args.seed + 1)
+        report = intercept_resend(replace(config, seed=args.seed + 1))
     else:  # collusion
         cfg, colluders = config.resolved(), args.colluders
         if colluders is None:
             raise ConfigError("--colluders is required for a collusion attack")
+        # Colluder 0 would silently take shares[-1].
         if len(set(colluders)) != len(colluders) or not all(
             1 <= i <= cfg.n for i in colluders
         ):
             raise ConfigError(f"colluders must be distinct players in 1..{cfg.n}")
-        if len(colluders) >= cfg.t:
-            raise ConfigError(
-                "colluder set reaches the threshold; reconstruction is legitimate"
-            )
         # The coalition pools the shares it was dealt; one shot deals them.
         shares = run_protocol(replace(cfg, shots=1)).combined_shares
         report = collusion_inference([shares[i - 1] for i in colluders],
@@ -280,10 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ThresholdReachedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and ThresholdReachedError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

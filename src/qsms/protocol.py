@@ -400,31 +400,14 @@ def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     return sums % d
 
 
-def _json_int_array(distinct: np.ndarray, inverse: np.ndarray, depth: int) -> list[str]:
-    """``json.dumps(distinct[inverse].tolist(), indent=2)`` re-indented to
-    ``depth``, as pieces for the caller to join.
-
-    ``distinct`` holds the distinct entries along axis 0 and ``inverse`` the
-    entry each position of the list takes. Its scalars are ints or their
-    texts already formatted. Each distinct entry is written once, by filling
-    one template of ``%s`` slots, and the texts are joined in ``inverse``
-    order, so no entry passes through the pure-Python encoder that
-    ``json.dumps`` falls back on with an indent.
-    """
-    if not len(inverse):
+def _json_list(texts: list[str], depth: int) -> list[str]:
+    """``json.dumps(entries, indent=2)`` re-indented to ``depth``, from the
+    entries' own JSON texts (each written for ``depth + 1``), as pieces for
+    the caller to join."""
+    if not texts:
         return ["[]"]
-    template = "%s"
-    for axis in reversed(range(1, distinct.ndim)):
-        indent = "\n" + "  " * (depth + axis)
-        template = (
-            f"[{indent}  " + f",{indent}  ".join([template] * distinct.shape[axis])
-            + f"{indent}]"
-            if distinct.shape[axis] else "[]"
-        )
-    texts = np.array([template % tuple(entry) for entry in
-                      distinct.reshape(len(distinct), -1).tolist()], dtype=object)
     indent = "\n" + "  " * depth
-    return [f"[{indent}  ", f",{indent}  ".join(texts[inverse].tolist()), f"{indent}]"]
+    return [f"[{indent}  ", f",{indent}  ".join(texts), f"{indent}]"]
 
 
 @dataclass
@@ -517,17 +500,23 @@ class ProtocolTranscript:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2)``, byte for byte."""
-        # The per-shot arrays as (distinct entries, each shot's index).
+        # Each distinct per-shot entry is written once, and each shot takes
+        # its entry's text, so no entry passes through the pure-Python
+        # encoder that ``json.dumps`` falls back on with an indent.
+        rows = np.array(["".join(_json_list(row, 2))
+                         for row in self._outcome_texts.tolist()], dtype=object)
+        sums, sum_index = np.unique(self.per_shot_sums, return_inverse=True)
+        sum_texts = np.array(list(map(str, sums.tolist())), dtype=object)
         per_shot = {
-            "outcomes": (self._outcome_texts, self._outcome_table[1]),
-            "per_shot_sums": np.unique(self.per_shot_sums, return_inverse=True),
+            "outcomes": rows[self._outcome_table[1]].tolist(),
+            "per_shot_sums": sum_texts[sum_index].tolist(),
         }
         # An encoded string holds no raw newline, so re-indenting a section
         # by its newlines is exact. The text is joined once, from pieces.
         pieces = []
         for key, value in self._items():
             pieces += [",\n  " if pieces else "{\n  ", json.dumps(key), ": "]
-            pieces += (_json_int_array(*per_shot[key], 1) if key in per_shot
+            pieces += (_json_list(per_shot[key], 1) if key in per_shot
                        else [json.dumps(value, indent=2).replace("\n", "\n  ")])
         return "".join(pieces + ["\n}"])
 

@@ -33,10 +33,6 @@ class Polynomial:
         return self.coefficients[0].modulus
 
     @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
     def secret(self) -> FieldElement:
         return self.coefficients[0]
 

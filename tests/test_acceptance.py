@@ -173,7 +173,7 @@ def test_criterion_7_privacy_by_enumeration():
 def test_criterion_8_attack_suite():
     shots = 100_000
     intercept = intercept_and_measure(
-        [(2, 3), (7, 9)], n=7, t=3, d=11, shots=shots, seed=8
+        RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=shots, seed=8), [(2, 3), (7, 9)]
     )
     d = 11
     rate_bound = 4 * math.sqrt((1 / d) * (1 - 1 / d) / shots) * math.sqrt(d)
@@ -182,9 +182,9 @@ def test_criterion_8_attack_suite():
     tv_ok = intercept.tv_distances["(2, 3) vs (7, 9)"] <= tv_bound
 
     resend = intercept_resend(
-        RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=64, seed=8,
+        RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=2048, seed=9,
                   polynomials=((2, 1, 1), (3, 1, 1))),
-        tap_position=2, shots=2048, seed=9,
+        tap_position=2,
     )
     collusion = collusion_inference(
         run_protocol(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=1, seed=8,

@@ -27,7 +27,7 @@ def test_tv_distance():
 
 def test_intercept_uniform_marginal_d11():
     report = intercept_and_measure(
-        [(2, 3), (7, 9)], n=7, t=3, d=11, shots=100_000, seed=0
+        RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=100_000, seed=0), [(2, 3), (7, 9)]
     )
     assert report.passed
     assert abs(report.guess_rate - 1 / 11) < 0.02
@@ -39,9 +39,10 @@ def test_intercept_uniform_marginal_d11():
 def test_intercept_rejects_d2_baseline_d3():
     # Z_2 has one nonzero evaluation point, too few for n=2 players.
     with pytest.raises(ConfigError, match="evaluation points"):
-        intercept_and_measure([(0,), (1,)], n=2, t=2, d=2, shots=10_000, seed=1)
+        intercept_and_measure(RunConfig(secrets=(0,), n=2, t=2, d=2, shots=10_000, seed=1),
+                              [(0,), (1,)])
     report = intercept_and_measure(
-        [(0,), (1,)], n=2, t=2, d=3, shots=10_000, seed=1
+        RunConfig(secrets=(0,), n=2, t=2, d=3, shots=10_000, seed=1), [(0,), (1,)]
     )
     assert report.passed
     assert abs(report.guess_rate - 1 / 3) < 0.03
@@ -49,7 +50,7 @@ def test_intercept_rejects_d2_baseline_d3():
 
 def test_intercept_secret_independence():
     report = intercept_and_measure(
-        [(2, 3), (7, 9)], n=7, t=3, d=11, shots=100_000, seed=2
+        RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=100_000, seed=2), [(2, 3), (7, 9)]
     )
     key = "(2, 3) vs (7, 9)"
     assert report.tv_distances[key] <= 0.02
@@ -64,14 +65,25 @@ def test_intercept_observes_the_state_the_protocol_sends(monkeypatch):
         return AffineState(d, np.zeros(t, dtype=np.int64), np.zeros((0, t), dtype=np.int64))
 
     monkeypatch.setattr(affine, "prepare_ghz", product_state)
-    report = intercept_and_measure([(2, 3), (7, 9)], n=7, t=3, d=11, shots=1000)
+    report = intercept_and_measure(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=1000),
+                                   [(2, 3), (7, 9)])
     assert not report.passed
     assert report.guess_rate == 1.0
 
 
 def test_intercept_requires_two_pairs():
     with pytest.raises(ValueError, match="two secret"):
-        intercept_and_measure([(2, 3)], n=7, t=3, d=11, shots=10)
+        intercept_and_measure(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=10), [(2, 3)])
+
+
+@pytest.mark.parametrize("tap_position", [1, 4])
+def test_tap_attacks_reject_tap_position_outside_legs(tap_position):
+    # At t=3 the initiator sends legs 2 and 3; there is no other leg to tap.
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16)
+    with pytest.raises(ValueError, match=r"^tap position must be in 2\.\.3$"):
+        intercept_and_measure(cfg, [(2, 3), (7, 9)], tap_position=tap_position)
+    with pytest.raises(ValueError, match=r"^tap position must be in 2\.\.3$"):
+        intercept_resend(cfg, tap_position=tap_position)
 
 
 def exact_attacked_aggregate(d, t, shadows):
@@ -128,8 +140,8 @@ def test_tap_collapse_matches_exact_oracle_d2():
 
 
 def test_intercept_resend_disturbs_aggregate():
-    cfg = RunConfig(secrets=(1, 0), n=2, t=2, d=3, shots=64, seed=3)
-    report = intercept_resend(cfg, tap_position=2, shots=4000, seed=4)
+    cfg = RunConfig(secrets=(1, 0), n=2, t=2, d=3, shots=4000, seed=4)
+    report = intercept_resend(cfg, tap_position=2)
     assert report.passed
     # Downstream damage: attacked aggregate spreads toward uniform while
     # the honest run is constant.
@@ -138,9 +150,9 @@ def test_intercept_resend_disturbs_aggregate():
 
 
 def test_intercept_resend_attacker_sees_uniform_d11():
-    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=32, seed=5,
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=2048, seed=6,
                     polynomials=((2, 1, 1), (3, 1, 1)))
-    report = intercept_resend(cfg, tap_position=2, shots=2048, seed=6)
+    report = intercept_resend(cfg, tap_position=2)
     assert report.passed
     assert report.details["honest_result"] == 5
     assert abs(report.guess_rate - 1 / 11) < 0.05
@@ -159,17 +171,17 @@ def test_intercept_resend_runs_one_fourier_layer_and_one_draw_per_run(monkeypatc
             return _original(*args)
 
         monkeypatch.setattr(affine, name, counted)
-    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16, seed=5)
-    assert intercept_resend(cfg, tap_position=2, shots=4096, seed=6).passed
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=4096, seed=6)
+    assert intercept_resend(cfg, tap_position=2).passed
     assert calls == {"fourier_shift": 2, "sample": 2}
 
 
 def _margin_reports():
     """Each report with the statistic its uniformity bound checks."""
-    intercept = intercept_and_measure([(2, 3), (7, 9)], n=7, t=3, d=11,
-                                      shots=20_000, seed=0)
-    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16, seed=5)
-    resend = intercept_resend(cfg, tap_position=2, shots=2048, seed=6)
+    intercept = intercept_and_measure(
+        RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=20_000, seed=0), [(2, 3), (7, 9)])
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=2048, seed=6)
+    resend = intercept_resend(cfg, tap_position=2)
     return [(intercept, max(intercept.tv_distances.values())),
             (resend, resend.tv_distances["attacker vs uniform"])]
 

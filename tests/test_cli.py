@@ -128,9 +128,13 @@ def test_attack_collusion(capsys, tmp_path):
     assert doc["details"]["candidate_count"] == 11
 
 
-def test_attack_collusion_threshold_rejected():
+def test_attack_collusion_threshold_rejected(capsys):
     assert main(["attack", "--kind", "collusion",
                  "--colluders", "1,2,3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "legitimate" in line
 
 
 def test_attack_intercept_resend(capsys):

@@ -14,7 +14,7 @@ from qsms.protocol import (
     ConfigError,
     Message,
     RunConfig,
-    _json_int_array,
+    _json_list,
     aggregate,
     combine,
     deal,
@@ -502,28 +502,24 @@ def test_histogram_matches_row_unique_oracle(transcript):
     assert list(histogram["counts"]) == list(oracle["counts"])
 
 
-@st.composite
-def _tables(draw):
-    """(distinct, inverse): entries along axis 0 and the entry each position
-    of the list takes, from heavily repeated to every entry once."""
-    inner = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
-    k = draw(st.integers(0, 6))
-    distinct = draw(hnp.arrays(np.int64, (k, *inner)))
-    inverse = draw(st.one_of(st.lists(st.integers(0, k - 1), max_size=50),
-                             st.permutations(range(k)))) if k else []
-    return distinct, np.array(inverse, dtype=np.intp)
+def _written(value, depth):
+    """``value`` written the way ``to_json`` writes a per-shot array: each
+    list by ``_json_list``, each int by ``str``."""
+    if not isinstance(value, list):
+        return str(value)
+    return "".join(_json_list([_written(v, depth + 1) for v in value], depth))
 
 
-@given(table=_tables(), depth=st.integers(0, 2))
-@example(table=(np.array([[3, 1, 4]]), np.zeros(1, dtype=np.intp)), depth=1)  # one row
-@example(table=(np.array([[0, 10], [5, 6]]), np.zeros(300, dtype=np.intp)), depth=1)
-@example(table=(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.intp)), depth=1)
-@example(table=(np.empty((1, 0), dtype=np.int64), np.zeros(3, dtype=np.intp)), depth=1)
-def test_json_int_array_matches_stdlib_encoder(table, depth):
-    distinct, inverse = table
-    expected = json.dumps(distinct[inverse].tolist(), indent=2).replace(
-        "\n", "\n" + "  " * depth)
-    assert "".join(_json_int_array(distinct, inverse, depth)) == expected
+@given(value=hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                    max_side=6)).map(np.ndarray.tolist),
+       depth=st.integers(0, 2))
+@example(value=[[3, 1, 4]], depth=1)  # one row
+@example(value=[[0, 10]] * 300, depth=1)
+@example(value=[], depth=1)
+@example(value=[[], [], []], depth=1)
+def test_json_list_matches_stdlib_encoder(value, depth):
+    expected = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+    assert _written(value, depth) == expected
 
 
 def test_resolved_bounds_outcome_entries(monkeypatch):
