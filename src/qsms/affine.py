@@ -141,7 +141,11 @@ def sample(state: AffineState, shots: int, rng: np.random.Generator) -> np.ndarr
     # columns); only the other columns need the product.
     unit = ((basis != 0).sum(axis=0) == 1) & (basis.sum(axis=0) == 1)
     _, rows = np.nonzero(basis[:, unit].T)
-    out[unit] = (coeffs[rows] + offset[unit, None]) % d
+    copied = coeffs[rows] + offset[unit, None]
+    # Exact with one conditional subtraction: a coefficient and an offset
+    # digit are each at most d - 1, so their sum is at most 2d - 2.
+    copied -= d * (copied >= d)
+    out[unit] = copied
     rest = ~unit
     basis = basis[:, rest]
     acc = np.repeat(offset[rest, None], shots, axis=1)

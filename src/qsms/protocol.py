@@ -35,8 +35,8 @@ QuantumTap = Callable[[AffineState, int], list[tuple[float, Hashable, AffineStat
 # Most outcome digits (shots x t) a run may hold: 128 MiB as int64, before
 # the transcript writes each one as text.
 OUTCOME_GUARD = 2**24
-# Most share messages (dealers x n) a run may build: each is a Python object
-# and an indent-2 JSON text, about 4 KiB at peak with the transcript written.
+# Most share messages (dealers x n) a run may hold: writing the transcript
+# peaks at about 1 KiB per message, with its dealer share, 64 MiB at the guard.
 MESSAGE_GUARD = 2**16
 
 
@@ -182,35 +182,8 @@ class ResolvedConfig:
     polynomials: tuple[tuple[int, ...], ...] | None
 
     def to_json(self) -> dict:
-        return {
-            "secrets": list(self.secrets),
-            "n": self.n,
-            "t": self.t,
-            "d": self.d,
-            "qualified": list(self.qualified),
-            "evaluation_points": list(self.evaluation_points),
-            "shots": self.shots,
-            "seed": self.seed,
-            "polynomials": [list(p) for p in self.polynomials]
-            if self.polynomials is not None
-            else None,
-        }
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: str
-    receiver: str
-    kind: str
-    payload: dict
-
-    def to_json(self) -> dict:
-        return {
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "kind": self.kind,
-            "payload": self.payload,
-        }
+        """The fields in order, as JSON values: each tuple a list."""
+        return json.loads(json.dumps(vars(self)))
 
 
 @dataclass
@@ -229,22 +202,19 @@ class PreparedRun:
     config: ResolvedConfig
     dealer_rows: np.ndarray  # (dealers, n): dealer k's share for player i
     players: list[PlayerState]
-    messages: list[Message]
     shadows: list[int] = field(default_factory=list)
 
 
-def _share_json(points: list[int], values: list[int], d: int) -> list[dict]:
-    """``Share.to_json()`` of each (point, value) pair, points reduced mod d."""
-    return [{"x": x, "value": v, "modulus": d} for x, v in zip(points, values)]
+# ``Share.to_json()``'s keys, in order, and each message kind's payload keys.
+_SHARE_KEYS = ("x", "value", "modulus")
+_PAYLOAD_KEYS = {"share": _SHARE_KEYS, "particle": ("position",)}
 
 
-def deal(
-    config: ResolvedConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, list[Message]]:
+def deal(config: ResolvedConfig, rng: np.random.Generator) -> np.ndarray:
     """Step 1: each dealer evaluates its polynomial at every player's point.
 
-    Returns the (dealers, n) array of shares, in ``zmod.residues``' dtype,
-    and the share messages. Pinned polynomials draw nothing from ``rng``.
+    Returns the (dealers, n) array of shares, in ``zmod.residues``' dtype.
+    Pinned polynomials draw nothing from ``rng``.
     """
     d = config.d
     if config.polynomials is not None:
@@ -258,13 +228,7 @@ def deal(
     rows = np.zeros((len(coefficients), config.n), dtype=points.dtype)
     for column in coefficients.T[::-1]:  # Horner, highest degree first
         rows = (rows * points + column[:, None]) % d
-    xs = points.tolist()
-    messages = [
-        Message(f"dealer_{k + 1}", f"P{i}", "share", payload)
-        for k, row in enumerate(rows.tolist())
-        for i, payload in enumerate(_share_json(xs, row, d), start=1)
-    ]
-    return rows, messages
+    return rows
 
 
 def combine(dealer_rows: np.ndarray, d: int) -> np.ndarray:
@@ -279,7 +243,7 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
     player's shadow are then recorded once as a ``Share`` and a ``Shadow``.
     """
     d = config.d
-    rows, messages = deal(config, rng)
+    rows = deal(config, rng)
     combined = combine(rows, d)
     qualified_points = [config.evaluation_points[i - 1] for i in config.qualified]
     shadows = (combined[np.array(config.qualified) - 1]
@@ -291,7 +255,7 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
     ]
     for position, (i, value) in enumerate(zip(config.qualified, shadows), start=1):
         players[i - 1].shadow = Shadow(owner=position, value=FieldElement(value, d))
-    return PreparedRun(config, rows, players, messages, shadows)
+    return PreparedRun(config, rows, players, shadows)
 
 
 def post_transform_branches(
@@ -400,14 +364,44 @@ def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     return sums % d
 
 
-def _json_list(texts: list[str], depth: int) -> list[str]:
+def _json_list(texts: list[str], depth: int, brackets: str = "[]") -> list[str]:
     """``json.dumps(entries, indent=2)`` re-indented to ``depth``, from the
-    entries' own JSON texts (each written for ``depth + 1``), as pieces for
-    the caller to join."""
+    entries' own JSON texts (each written for ``depth + 1``; an object's are
+    ``"key": value`` texts), as pieces for the caller to join."""
     if not texts:
-        return ["[]"]
+        return ["".join(brackets)]
     indent = "\n" + "  " * depth
-    return [f"[{indent}  ", f",{indent}  ".join(texts), f"{indent}]"]
+    return [f"{brackets[0]}{indent}  ", f",{indent}  ".join(texts),
+            f"{indent}{brackets[1]}"]
+
+
+@functools.cache
+def _template(depth: int, keys: tuple[str, ...]) -> str:
+    """One record kind's ``str.format`` template: a JSON object with ``keys``
+    at ``depth``, indented as above, with a ``{}`` slot per value's JSON text."""
+    return "".join(_json_list([f'"{key}": {{}}' for key in keys], depth, ("{{", "}}")))
+
+
+def _digit_texts(digits: np.ndarray, d: int) -> np.ndarray:
+    """Each digit in [0, d) as its text, in an object array of ``digits``'
+    shape; each of the d texts (or of the digits present, if fewer) made once."""
+    values, codes = ((np.arange(d), digits) if d <= digits.size
+                     else np.unique(digits, return_inverse=True))
+    texts = np.array(list(map(str, values.tolist())), dtype=object)
+    return texts[codes.reshape(digits.shape)]
+
+
+def _message_records(config: ResolvedConfig, dealer_rows: np.ndarray) -> list[tuple]:
+    """(sender, receiver, kind, payload values keyed by ``_PAYLOAD_KEYS``) of
+    every message in send order: each dealer's share to each player, then the
+    step-4 particle sends, whose only classical payload is the slot index."""
+    d, initiator = config.d, config.qualified[0]
+    points = [p % d for p in config.evaluation_points]
+    return [(f"dealer_{k}", f"P{i}", "share", (x, value, d))
+            for k, row in enumerate(dealer_rows.tolist(), start=1)
+            for i, (x, value) in enumerate(zip(points, row), start=1)] + [
+        (f"P{initiator}", f"P{i}", "particle", (position,))
+        for position, i in enumerate(config.qualified[1:], start=2)]
 
 
 @dataclass
@@ -416,7 +410,6 @@ class ProtocolTranscript:
     dealer_rows: np.ndarray  # (dealers, n) shares, as PreparedRun.dealer_rows
     combined_shares: list[Share]
     shadows: list[Shadow]
-    messages: list[Message]
     outcomes: np.ndarray  # (shots, t) int64 measured digits
     # Not serialized: each shot's tap branch, and each branch's labels.
     tap_branch: np.ndarray  # (shots,) int64 index into tap_labels
@@ -426,98 +419,111 @@ class ProtocolTranscript:
     result_binary: str
     seed: int
 
-    @functools.cached_property
-    def _outcome_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct outcome rows in ascending digit order, each shot's
-        index into them, and each row's count: the one ``np.unique`` that
-        ``histogram()`` and ``to_json()`` share."""
-        d, t = self.config.d, self.config.t
-        if d**t <= 2**63:
-            # Flat basis indices fit in int64 and sort in the order of
-            # their digit tuples.
-            powers = d ** np.arange(t - 1, -1, -1, dtype=np.int64)
-            indices, inverse, counts = np.unique(
-                self.outcomes @ powers, return_inverse=True, return_counts=True)
-            rows = indices[:, None] // powers % d
-        else:
-            rows, inverse, counts = np.unique(
-                self.outcomes, axis=0, return_inverse=True, return_counts=True)
-        return rows, inverse.reshape(-1), counts
+    @property
+    def messages(self) -> list[dict]:
+        """Every message in send order as JSON-ready dicts, built on each read
+        from the config and ``dealer_rows`` alone; ``to_json`` does not read it."""
+        return [{"sender": sender, "receiver": receiver, "kind": kind,
+                 "payload": dict(zip(_PAYLOAD_KEYS[kind], values))}
+                for sender, receiver, kind, values in _message_records(self.config,
+                                                                       self.dealer_rows)]
 
     @functools.cached_property
-    def _outcome_texts(self) -> np.ndarray:
-        """``_outcome_table``'s distinct rows with each digit as its text,
-        an object array: the histogram labels and the outcome rows' JSON
-        are both joined from it."""
-        rows = self._outcome_table[0]
-        # Each distinct digit value is formatted once: all d of them when
-        # the rows hold at least d digits, else those the rows hold.
-        values, codes = ((np.arange(self.config.d), rows) if self.config.d <= rows.size
-                         else np.unique(rows, return_inverse=True))
-        texts = np.array(list(map(str, values.tolist())), dtype=object)
-        return texts[codes.reshape(rows.shape)]
+    def _outcome_table(self) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
+        """Each distinct outcome row's digit texts, in ascending digit order,
+        each shot's index into the rows and each row's count: the one
+        ``np.unique`` that ``histogram()`` and ``to_json()`` share.
+
+        Each row is packed into uint64 words of 64 // bits(d - 1) digits, most
+        significant first, so the words sort as the digit tuples do. One word
+        goes through the 1-D ``np.unique``, more through ``axis=0``."""
+        d, t, shots = self.config.d, self.config.t, len(self.outcomes)
+        bits = (d - 1).bit_length()
+        per_word = 64 // bits
+        # The last word's unused low bits stay 0 in every row.
+        word, place = np.divmod(np.arange(t), per_word)
+        shift = bits * (per_word - 1 - place)
+        keys = np.zeros((word[-1] + 1, shots), dtype=np.uint64)
+        for column, w, s in zip(self.outcomes.T, word.tolist(), shift.tolist()):
+            keys[w] |= column.astype(np.uint64) << s
+        distinct, inverse, counts = np.unique(
+            keys[0] if len(keys) == 1 else keys.T, axis=0,
+            return_inverse=True, return_counts=True)
+        rows = distinct.reshape(len(distinct), len(keys))[:, word]
+        rows >>= shift.astype(np.uint64)
+        rows &= np.uint64(2**bits - 1)
+        texts = _digit_texts(rows.view(np.int64), d).tolist()
+        return texts, inverse.reshape(-1), counts
 
     def histogram(self) -> dict:
         """JSON-ready histogram keyed by dash-joined digit strings, in
         ascending digit order."""
-        counts = self._outcome_table[2]
-        return {
-            "d": self.config.d,
-            "t": self.config.t,
-            "shots": len(self.outcomes),
-            "seed": self.seed,
-            "counts": dict(zip(map("-".join, self._outcome_texts.tolist()),
-                               counts.tolist())),
-        }
-
-    def _items(self) -> list[tuple[str, object]]:
-        """The transcript's top-level (key, value) pairs, in output order;
-        the per-shot values stay int64 arrays."""
-        d = self.config.d
-        points = [p % d for p in self.config.evaluation_points]
-        return [
-            ("config", self.config.to_json()),
-            ("shares", {
-                "dealers": [_share_json(points, row, d)
-                            for row in self.dealer_rows.tolist()],
-                "combined": [s.to_json() for s in self.combined_shares],
-            }),
-            ("shadows", [s.to_json() for s in self.shadows]),
-            ("messages", [m.to_json() for m in self.messages]),
-            ("histogram", self.histogram()),
-            ("outcomes", self.outcomes),
-            ("per_shot_sums", self.per_shot_sums),
-            ("result", self.result),
-            ("result_binary", self.result_binary),
-            ("seed", self.seed),
-        ]
+        texts, _, counts = self._outcome_table
+        counts = zip(map("-".join, texts), counts.tolist())
+        return {"d": self.config.d, "t": self.config.t, "shots": len(self.outcomes),
+                "seed": self.seed, "counts": dict(counts)}
 
     def to_dict(self) -> dict:
+        """The transcript as JSON values: the oracle ``to_json`` is checked against."""
+        messages, n = self.messages, self.config.n
+        shares = [m["payload"] for m in messages if m["kind"] == "share"]
         return {
-            key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in self._items()
+            "config": self.config.to_json(),
+            "shares": {"dealers": [shares[k:k + n] for k in range(0, len(shares), n)],
+                       "combined": [s.to_json() for s in self.combined_shares]},
+            "shadows": [s.to_json() for s in self.shadows],
+            "messages": messages,
+            "histogram": self.histogram(),
+            "outcomes": self.outcomes.tolist(),
+            "per_shot_sums": self.per_shot_sums.tolist(),
+            "result": self.result,
+            "result_binary": self.result_binary,
+            "seed": self.seed,
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, byte for byte."""
-        # Each distinct per-shot entry is written once, and each shot takes
-        # its entry's text, so no entry passes through the pure-Python
-        # encoder that ``json.dumps`` falls back on with an indent.
-        rows = np.array(["".join(_json_list(row, 2))
-                         for row in self._outcome_texts.tolist()], dtype=object)
-        sums, sum_index = np.unique(self.per_shot_sums, return_inverse=True)
-        sum_texts = np.array(list(map(str, sums.tolist())), dtype=object)
-        per_shot = {
-            "outcomes": rows[self._outcome_table[1]].tolist(),
-            "per_shot_sums": sum_texts[sum_index].tolist(),
+        """``json.dumps(self.to_dict(), indent=2)``, byte for byte, from one template
+        per record kind and one text per distinct per-shot entry. Only the config
+        goes through ``json.dumps``: no other string written needs escaping."""
+        cfg, d = self.config, self.config.d
+        points = [p % d for p in cfg.evaluation_points]
+        share = _template(4, _SHARE_KEYS)
+        dealers = ["".join(_json_list([share.format(x, v, d)
+                                       for x, v in zip(points, row)], 3))
+                   for row in self.dealer_rows.tolist()]
+        combined = [_template(3, _SHARE_KEYS).format(s.x.value, s.value.value, d)
+                    for s in self.combined_shares]
+        shadow = _template(2, ("owner", "value", "modulus"))
+        message = _template(2, ("sender", "receiver", "kind", "payload"))
+        messages = [message.format(f'"{src}"', f'"{dst}"', f'"{kind}"',
+                                   _template(3, _PAYLOAD_KEYS[kind]).format(*values))
+                    for src, dst, kind, values in _message_records(cfg, self.dealer_rows)]
+        texts, inverse, counts = self._outcome_table
+        counts = [f'"{"-".join(row)}": {n}' for row, n in zip(texts, counts.tolist())]
+        sep = ",\n      "  # between a row's digits, as ``_json_list(row, 2)`` writes it
+        rows = np.array([f"[\n      {sep.join(r)}\n    ]" for r in texts], dtype=object)
+        sections = {
+            # An encoded string holds no raw newline, so re-indenting the
+            # config by its newlines is exact.
+            "config": [json.dumps(cfg.to_json(), indent=2).replace("\n", "\n  ")],
+            "shares": _json_list([f'"dealers": {"".join(_json_list(dealers, 2))}',
+                                  f'"combined": {"".join(_json_list(combined, 2))}'],
+                                 1, "{}"),
+            "shadows": _json_list([shadow.format(s.owner, s.value.value, d)
+                                   for s in self.shadows], 1),
+            "messages": _json_list(messages, 1),
+            "histogram": [_template(1, ("d", "t", "shots", "seed", "counts")).format(
+                d, cfg.t, len(self.outcomes), self.seed,
+                "".join(_json_list(counts, 2, "{}")))],
+            "outcomes": _json_list(rows[inverse].tolist(), 1),
+            "per_shot_sums": _json_list(_digit_texts(self.per_shot_sums, d).tolist(), 1),
+            "result": [str(self.result)],
+            "result_binary": [f'"{self.result_binary}"'],
+            "seed": [str(self.seed)],
         }
-        # An encoded string holds no raw newline, so re-indenting a section
-        # by its newlines is exact. The text is joined once, from pieces.
         pieces = []
-        for key, value in self._items():
-            pieces += [",\n  " if pieces else "{\n  ", json.dumps(key), ": "]
-            pieces += (_json_list(per_shot[key], 1) if key in per_shot
-                       else [json.dumps(value, indent=2).replace("\n", "\n  ")])
+        for key, value in sections.items():
+            pieces += [",\n  " if pieces else "{\n  ", f'"{key}": ', *value]
         return "".join(pieces + ["\n}"])
 
 
@@ -529,15 +535,6 @@ def run_protocol(
     deal_seq, shot_seq = root.spawn(2)
 
     prepared = prepare_run(cfg, np.random.default_rng(deal_seq))
-    messages = list(prepared.messages)
-
-    # Step 4 particle sends carry no classical payload beyond the slot index.
-    initiator = cfg.qualified[0]
-    for position, i in enumerate(cfg.qualified[1:], start=2):
-        messages.append(
-            Message(f"P{initiator}", f"P{i}", "particle", {"position": position})
-        )
-
     phase = run_quantum_phase(
         prepared.shadows, cfg.d, cfg.shots, np.random.default_rng(shot_seq), tap=tap
     )
@@ -550,10 +547,7 @@ def run_protocol(
         config=cfg,
         dealer_rows=prepared.dealer_rows,
         combined_shares=[p.combined for p in prepared.players],
-        shadows=[
-            prepared.players[i - 1].shadow for i in cfg.qualified
-        ],
-        messages=messages,
+        shadows=[prepared.players[i - 1].shadow for i in cfg.qualified],
         outcomes=phase.digits,
         tap_branch=phase.branch,
         tap_labels=phase.labels,

@@ -193,6 +193,31 @@ def test_share_messages_beyond_guard_exit_code(argv, monkeypatch, capsys):
     assert captured.err == "error: share messages dealers x n = 2 x 7 = 14 exceed guard 13\n"
 
 
+_SMALL_RUN = ["run", "--secrets", "1,2", "--n", "4", "--t", "2", "--d", "5", "--shots", "8"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_SMALL_RUN, "--format", "pretty"],
+    [*_SMALL_RUN, "--format", "csv"],
+    [*_SMALL_RUN, "--format", "json"],
+    ["attack", "--kind", "intercept", "--shots", "100"],
+    ["attack", "--kind", "intercept-resend", "--shots", "100"],
+    ["attack", "--kind", "collusion", "--colluders", "2,3"],
+])
+def test_share_messages_built_only_to_write_them(argv, monkeypatch, capsys):
+    from qsms import protocol
+
+    def refuse(*args):
+        raise AssertionError("share messages built")
+
+    # The JSON writer formats the messages' records, never the dict view.
+    monkeypatch.setattr(ProtocolTranscript, "messages", property(refuse))
+    if "json" not in argv:
+        monkeypatch.setattr(protocol, "_message_records", refuse)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_guard_holds_beyond_int64_modulus(capsys):
     assert main(["verify", "--d", str(2**31 + 11), "--t", "2",
                  "--shadows", "0,0"]) == EXIT_GUARD

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from qsms.protocol import (
     ConfigError,
-    Message,
+    ProtocolTranscript,
     RunConfig,
     _json_list,
     aggregate,
@@ -49,23 +49,24 @@ PAPER_CONFIG = RunConfig(
 
 def test_deal_reproduces_reference_rows():
     cfg = PAPER_CONFIG.resolved()
-    rows, messages = deal(cfg, np.random.default_rng(0))
+    rows = deal(cfg, np.random.default_rng(0))
     assert rows.dtype == np.int64
     assert rows.tolist() == [[4, 8, 3, 0, 10, 0, 3], [5, 9, 4, 1, 0, 1, 4]]
-    assert len(messages) == 14
+    messages = run_protocol(PAPER_CONFIG).messages
+    assert [m["kind"] for m in messages] == ["share"] * 14 + ["particle"] * 2
 
 
 def test_deal_constant_polynomial():
     cfg = RunConfig(secrets=(4,), n=3, t=2, d=5, polynomials=((4, 0),),
                     shots=1).resolved()
-    rows, _ = deal(cfg, np.random.default_rng(0))
+    rows = deal(cfg, np.random.default_rng(0))
     assert rows.tolist() == [[4, 4, 4]]
 
 
 def test_deal_random_polynomials_round_trip():
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=1, seed=0).resolved()
     rng = np.random.default_rng(1)
-    rows, _ = deal(cfg, rng)
+    rows = deal(cfg, rng)
     for row, secret in zip(rows.tolist(), cfg.secrets):
         shares = [Share(FieldElement(x, cfg.d), FieldElement(v, cfg.d))
                   for x, v in zip(cfg.evaluation_points, row)][2:5]
@@ -74,7 +75,7 @@ def test_deal_random_polynomials_round_trip():
 
 def test_combine_local_reference_row():
     cfg = PAPER_CONFIG.resolved()
-    rows, _ = deal(cfg, np.random.default_rng(0))
+    rows = deal(cfg, np.random.default_rng(0))
     assert combine(rows, cfg.d).tolist() == [9, 6, 7, 1, 10, 1, 7]
     # Player records hold only the combined share, never the per-dealer ones.
     players = prepare_run(cfg, np.random.default_rng(0)).players
@@ -84,7 +85,7 @@ def test_combine_local_reference_row():
 
 def test_combine_local_single_dealer_is_identity():
     cfg = RunConfig(secrets=(4,), n=3, t=2, d=5, shots=1).resolved()
-    rows, _ = deal(cfg, np.random.default_rng(2))
+    rows = deal(cfg, np.random.default_rng(2))
     assert combine(rows, cfg.d).tolist() == rows[0].tolist()
 
 
@@ -140,7 +141,10 @@ def test_classical_phase_matches_object_api(cfg):
         [poly.evaluate(x).value for x in cfg.evaluation_points] for poly in polys
     ]
     dealt = [generate_shares(poly, cfg.evaluation_points, d) for poly in polys]
-    assert [m.payload for m in prepared.messages] == [
+    # The transcript's message view reads only the config and the dealer
+    # rows, which the prepared run holds too: no quantum phase runs at d >= 2^31.
+    messages = ProtocolTranscript.messages.fget(prepared)
+    assert [m["payload"] for m in messages if m["kind"] == "share"] == [
         s.to_json() for row in dealt for s in row
     ]
     combined = [functools.reduce(add_shares, column) for column in zip(*dealt)]
@@ -407,12 +411,12 @@ def test_transcript_privacy_shape():
     transcript = run_protocol(PAPER_CONFIG)
     points = transcript.config.evaluation_points
     for msg in transcript.messages:
-        if msg.kind == "share":
-            receiver_index = int(msg.receiver[1:])
-            assert msg.payload["x"] == points[receiver_index - 1]
-        elif msg.kind == "particle":
+        if msg["kind"] == "share":
+            receiver_index = int(msg["receiver"][1:])
+            assert msg["payload"]["x"] == points[receiver_index - 1]
+        elif msg["kind"] == "particle":
             # Quantum sends carry no classical payload beyond the slot.
-            assert set(msg.payload) == {"position"}
+            assert set(msg["payload"]) == {"position"}
 
 
 def test_player_records_hold_only_own_data():
@@ -483,10 +487,25 @@ def _assert_same_text(got: str, want: str) -> None:
                     f"offset {at}: {got[context]!r} != {want[context]!r}")
 
 
+def _packed_key_edge(d, n, t, repeat=1):
+    """A 500-shot run whose rows fill packed key words exactly or spill into
+    the next word, its outcome rows repeated ``repeat`` times."""
+    transcript = run_protocol(RunConfig(secrets=(3, 5), n=n, t=t, d=d, shots=500))
+    return replace(transcript, outcomes=np.repeat(transcript.outcomes, repeat, axis=0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(transcript=_transcripts())
-# 101^50 > 2^63: flat basis indices would wrap in int64.
+# bits(100) = 7: nine digits to a word, so the 50 digits take 6 words.
 @example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=60, t=50, d=101, shots=8192)))
+# bits(210) = 8: t=8 fills one 64-bit word, top bit set when the first digit
+# is 128 or more; t=9 takes two words. bits(28) = 5: t=12 takes 60 bits of
+# one word, t=13 two words, also with each row repeated.
+@example(transcript=_packed_key_edge(211, 110, 8))
+@example(transcript=_packed_key_edge(211, 110, 9))
+@example(transcript=_packed_key_edge(29, 20, 12))
+@example(transcript=_packed_key_edge(29, 20, 13))
+@example(transcript=_packed_key_edge(29, 20, 13, repeat=3))
 def test_histogram_matches_row_unique_oracle(transcript):
     cfg = transcript.config
     rows, counts = np.unique(transcript.outcomes, axis=0, return_counts=True)
