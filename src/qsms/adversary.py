@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from . import affine
-from .protocol import RunConfig, post_transform_branches, prepare_run, run_protocol
+from .protocol import ConfigError, RunConfig, post_transform_branches, prepare_run, run_protocol
 from .shamir import Share
-from .zmod import row_reduce
+from .zmod import is_prime, row_reduce
 
 
 class ThresholdReachedError(ValueError):
@@ -169,14 +169,11 @@ def intercept_resend(config: RunConfig, tap_position: int = 2) -> AttackReport:
 
     Reports the attacker's outcome distribution (uniform, success 1/d)
     and the downstream damage: the attacked run's aggregate spreads over
-    Z_d while the honest run is a constant.
+    Z_d while every honest shot sums to the secret total.
     """
     cfg = config.resolved()
     if not 2 <= tap_position <= cfg.t:
         raise ValueError(f"tap position must be in 2..{cfg.t}")
-
-    # Only the honest result is read, and no shot or seed changes it.
-    honest = run_protocol(replace(cfg, shots=1))
 
     def tap(state, position):
         # The attacker's digit labels each branch; the collapsed state is
@@ -187,6 +184,8 @@ def intercept_resend(config: RunConfig, tap_position: int = 2) -> AttackReport:
 
     attacked = run_protocol(cfg, tap=tap)
     d, shots = cfg.d, cfg.shots
+    # Every honest shot sums to the shadows' sum, the secret total.
+    honest_result = sum(s.value.value for s in attacked.shadows) % d
     # Each branch's label at the tap is the attacker's digit.
     digit = [labels[tap_position - 2] for labels in attacked.tap_labels]
     attacker_counts = np.zeros(d, dtype=np.int64)
@@ -198,14 +197,14 @@ def intercept_resend(config: RunConfig, tap_position: int = 2) -> AttackReport:
     tv = {
         "attacker vs uniform": tv_distance(attacker_dist, uniform),
         "attacked aggregate vs honest": tv_distance(aggregate_dist,
-                                                    {str(honest.result): 1.0}),
+                                                    {str(honest_result): 1.0}),
     }
     # The attacked aggregate is meant to differ from the honest one, so only
     # the attacker's view is held to the uniformity bound.
     return _tap_report(
         "intercept-resend", tap_position, shots, attacker_counts,
         {"attacker": attacker_dist, "attacked_aggregate": aggregate_dist},
-        tv, tv["attacker vs uniform"], honest_result=honest.result,
+        tv, tv["attacker vs uniform"], honest_result=honest_result,
     )
 
 
@@ -218,6 +217,11 @@ def collusion_inference(
     Broadcast values reveal only the public sum, which constrains no
     individual dealer secret, so every residue should survive.
     """
+    if not is_prime(d):
+        raise ConfigError(f"d={d} is not prime")
+    moduli = sorted({share.x.modulus for share in colluder_shares} - {d})
+    if moduli:
+        raise ConfigError(f"shares over Z_{moduli[0]} analysed with d={d}")
     if len(colluder_shares) >= t:
         raise ThresholdReachedError(
             "threshold reached; reconstruction is legitimate"

@@ -126,8 +126,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     overrides = {k: v for k in ("shots", "seed") if (v := getattr(args, k)) is not None}
     transcript = run_protocol(replace(DEMO_CONFIG, **overrides))
-    print(_render_table(transcript))
-    _write_output(args.output, transcript.to_json())
+    _emit_transcript(transcript, args)
 
     mismatches = []
     got_f, got_g = transcript.dealer_rows.tolist()

@@ -431,29 +431,25 @@ class ProtocolTranscript:
     @functools.cached_property
     def _outcome_table(self) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
         """Each distinct outcome row's digit texts, in ascending digit order,
-        each shot's index into the rows and each row's count: the one
-        ``np.unique`` that ``histogram()`` and ``to_json()`` share.
+        each shot's index into the rows and each row's count: the one table
+        that ``histogram()`` and ``to_json()`` share.
 
-        Each row is packed into uint64 words of 64 // bits(d - 1) digits, most
-        significant first, so the words sort as the digit tuples do. One word
-        goes through the 1-D ``np.unique``, more through ``axis=0``."""
-        d, t, shots = self.config.d, self.config.t, len(self.outcomes)
-        bits = (d - 1).bit_length()
-        per_word = 64 // bits
-        # The last word's unused low bits stay 0 in every row.
-        word, place = np.divmod(np.arange(t), per_word)
-        shift = bits * (per_word - 1 - place)
-        keys = np.zeros((word[-1] + 1, shots), dtype=np.uint64)
-        for column, w, s in zip(self.outcomes.T, word.tolist(), shift.tolist()):
-            keys[w] |= column.astype(np.uint64) << s
-        distinct, inverse, counts = np.unique(
-            keys[0] if len(keys) == 1 else keys.T, axis=0,
-            return_inverse=True, return_counts=True)
-        rows = distinct.reshape(len(distinct), len(keys))[:, word]
-        rows >>= shift.astype(np.uint64)
-        rows &= np.uint64(2**bits - 1)
-        texts = _digit_texts(rows.view(np.int64), d).tolist()
-        return texts, inverse.reshape(-1), counts
+        One stable ``np.lexsort`` of the digit columns, qudit 1 the primary
+        key, orders the shots; each column is cast to the narrowest unsigned
+        dtype that holds d - 1, so 8- and 16-bit keys sort by radix. A row
+        starts wherever a shot's digits differ from the shot before it."""
+        d, outcomes = self.config.d, self.outcomes
+        columns = outcomes.T.astype(np.min_scalar_type(d - 1), order="C")
+        order = np.lexsort(columns[::-1])
+        # take, unlike [:, order], keeps each qudit's digits contiguous.
+        ordered = columns.take(order, axis=1)
+        starts = np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(starts) - 1
+        first = np.flatnonzero(starts)
+        counts = np.diff(first, append=len(order))
+        rows = outcomes.take(order[first], axis=0)
+        return _digit_texts(rows, d).tolist(), inverse, counts
 
     def histogram(self) -> dict:
         """JSON-ready histogram keyed by dash-joined digit strings, in

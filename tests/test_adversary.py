@@ -160,8 +160,8 @@ def test_intercept_resend_attacker_sees_uniform_d11():
 
 def test_intercept_resend_runs_one_fourier_layer_and_one_draw_per_run(monkeypatch):
     # The d collapse branches share a basis, so they end in one state: one
-    # Fourier layer and one draw for the tapped run, one of each for the
-    # honest reference run, where one per branch would make 1 + 11 of each.
+    # Fourier layer and one draw, where one per branch would make 11 of each.
+    # The honest result comes from the shadows, with no second run.
     calls = {"fourier_shift": 0, "sample": 0}
     for name in calls:
         original = getattr(affine, name)
@@ -173,7 +173,7 @@ def test_intercept_resend_runs_one_fourier_layer_and_one_draw_per_run(monkeypatc
         monkeypatch.setattr(affine, name, counted)
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=4096, seed=6)
     assert intercept_resend(cfg, tap_position=2).passed
-    assert calls == {"fourier_shift": 2, "sample": 2}
+    assert calls == {"fourier_shift": 1, "sample": 1}
 
 
 def _margin_reports():
@@ -279,6 +279,18 @@ def test_collusion_threshold_set_rejected():
     shares = _paper_shares()
     with pytest.raises(ThresholdReachedError, match="legitimate"):
         collusion_inference(shares[:3], t=3, d=11)
+
+
+@pytest.mark.parametrize("shares,d,match", [
+    # Shares over Z_13 read mod 11 would report 11 candidates and pass.
+    ([Share(FieldElement(1, 13), FieldElement(12, 13))], 11,
+     r"^shares over Z_13 analysed with d=11$"),
+    (_paper_shares()[:2], 9, r"^d=9 is not prime$"),
+    ([], 9, r"^d=9 is not prime$"),
+])
+def test_collusion_rejects_a_wrong_modulus(shares, d, match):
+    with pytest.raises(ConfigError, match=match):
+        collusion_inference(shares, t=3, d=d)
 
 
 def test_collusion_single_colluder_d5():

@@ -249,6 +249,24 @@ def test_output_serialized_once(cls, argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == out_file.read_text() + "\n"
 
 
+@pytest.mark.parametrize("output", [False, True])
+def test_demo_serializes_only_to_write(output, tmp_path, monkeypatch, capsys):
+    calls = []
+    to_json = ProtocolTranscript.to_json
+
+    def counted(self):
+        calls.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(ProtocolTranscript, "to_json", counted)
+    out_file = tmp_path / "demo.json"
+    argv = ["demo", "--shots", "64"] + (["--output", str(out_file)] if output else [])
+    assert main(argv) == EXIT_OK
+    assert len(calls) == output
+    assert out_file.exists() == output
+    assert "result: 5  (binary 101)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("kind", ["intercept", "intercept-resend", "collusion"])
 def test_attack_rejects_zero_shots(kind, capsys):
     argv = ["attack", "--kind", kind, "--shots", "0"]

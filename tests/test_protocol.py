@@ -450,9 +450,7 @@ def _transcripts(draw):
     run tapping position 2, whose per-shot sums vary."""
     tapped = draw(st.booleans())
     t = draw(st.integers(2, 4))
-    # A tap holds d branches of d^t amplitudes at once; keep them small.
-    d = draw(st.sampled_from([p for p in _ODD_PRIMES
-                              if t < p and (not tapped or p ** (t + 1) <= 2**16)]))
+    d = draw(st.sampled_from([p for p in _ODD_PRIMES if t < p]))
     n = draw(st.integers(t, d - 1))
     secrets = tuple(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3)))
     cfg = RunConfig(secrets=secrets, n=n, t=t, d=d, shots=draw(st.integers(1, 300)),
@@ -466,7 +464,7 @@ def _transcripts(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(transcript=_transcripts())
-# 101^50 > 2^63: the distinct rows come from np.unique(axis=0).
+# t=50: every row is distinct, and the table sorts on 50 key columns.
 @example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=60, t=50, d=101, shots=2000)))
 def test_to_json_matches_stdlib_encoder(transcript):
     """The stdlib encoder is the oracle for the bulk writer's bytes."""
@@ -487,25 +485,39 @@ def _assert_same_text(got: str, want: str) -> None:
                     f"offset {at}: {got[context]!r} != {want[context]!r}")
 
 
-def _packed_key_edge(d, n, t, repeat=1):
-    """A 500-shot run whose rows fill packed key words exactly or spill into
-    the next word, its outcome rows repeated ``repeat`` times."""
-    transcript = run_protocol(RunConfig(secrets=(3, 5), n=n, t=t, d=d, shots=500))
+def _small_run(d, n, t, repeat=1, **config):
+    """A 500-shot run, its outcome rows repeated ``repeat`` times."""
+    transcript = run_protocol(RunConfig(secrets=(3, 5), n=n, t=t, d=d, shots=500,
+                                        **config))
     return replace(transcript, outcomes=np.repeat(transcript.outcomes, repeat, axis=0))
+
+
+def _last_digit_rows(d, n, t):
+    """A 500-shot run's rows with the first row's leading t - 1 digits: the
+    rows differ only in their last digit."""
+    transcript = _small_run(d, n, t)
+    outcomes = transcript.outcomes.copy()
+    outcomes[:, :-1] = outcomes[0, :-1]
+    return replace(transcript, outcomes=outcomes)
 
 
 @settings(max_examples=60, deadline=None)
 @given(transcript=_transcripts())
-# bits(100) = 7: nine digits to a word, so the 50 digits take 6 words.
+# 50 uint8 key columns over 8192 shots.
 @example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=60, t=50, d=101, shots=8192)))
-# bits(210) = 8: t=8 fills one 64-bit word, top bit set when the first digit
-# is 128 or more; t=9 takes two words. bits(28) = 5: t=12 takes 60 bits of
-# one word, t=13 two words, also with each row repeated.
-@example(transcript=_packed_key_edge(211, 110, 8))
-@example(transcript=_packed_key_edge(211, 110, 9))
-@example(transcript=_packed_key_edge(29, 20, 12))
-@example(transcript=_packed_key_edge(29, 20, 13))
-@example(transcript=_packed_key_edge(29, 20, 13, repeat=3))
+# uint8 columns with digits of 128 and more (d=211), and short and long rows
+# at d=29, also with each row repeated so that counts exceed 1.
+@example(transcript=_small_run(211, 110, 8))
+@example(transcript=_small_run(211, 110, 9))
+@example(transcript=_small_run(29, 20, 12))
+@example(transcript=_small_run(29, 20, 13))
+@example(transcript=_small_run(29, 20, 13, repeat=3))
+# uint16 columns (d=257) and uint32 columns (d=65537).
+@example(transcript=_small_run(257, 130, 5))
+@example(transcript=_small_run(65537, 4, 3, repeat=2, allow_out_of_range_prime=True))
+# Rows that tie on every key but the last.
+@example(transcript=_last_digit_rows(211, 110, 9))
+@example(transcript=_last_digit_rows(7, 4, 3))
 def test_histogram_matches_row_unique_oracle(transcript):
     cfg = transcript.config
     rows, counts = np.unique(transcript.outcomes, axis=0, return_counts=True)
