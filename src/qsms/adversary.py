@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import affine
-from .protocol import ConfigError, RunConfig, post_transform_branches, prepare_run, run_protocol
+from .protocol import (ConfigError, ResolvedConfig, RunConfig, post_transform_branches,
+                       prepare_run, run_generators, run_protocol)
 from .shamir import Share
 from .zmod import is_prime, row_reduce
 
@@ -206,6 +207,14 @@ def intercept_resend(config: RunConfig, tap_position: int = 2) -> AttackReport:
         {"attacker": attacker_dist, "attacked_aggregate": aggregate_dist},
         tv, tv["attacker vs uniform"], honest_result=honest_result,
     )
+
+
+def dealt_shares(config: ResolvedConfig, players: Sequence[int]) -> list[Share]:
+    """The combined shares ``run_protocol(config)`` deals to ``players``
+    (indices in 1..n), from the same deal generator; no quantum phase runs."""
+    deal_rng, _ = run_generators(config.seed)
+    dealt = prepare_run(config, deal_rng).players
+    return [dealt[i - 1].combined for i in players]
 
 
 def collusion_inference(

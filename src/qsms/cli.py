@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import affine, qudit
-from .adversary import collusion_inference, intercept_and_measure, intercept_resend
+from .adversary import collusion_inference, dealt_shares, intercept_and_measure, intercept_resend
 from .affine import DimensionGuardError
 from .protocol import ConfigError, RunConfig, post_transform_branches, run_protocol
 
@@ -166,10 +166,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
             1 <= i <= cfg.n for i in colluders
         ):
             raise ConfigError(f"colluders must be distinct players in 1..{cfg.n}")
-        # The coalition pools the shares it was dealt; one shot deals them.
-        shares = run_protocol(replace(cfg, shots=1)).combined_shares
-        report = collusion_inference([shares[i - 1] for i in colluders],
-                                     t=cfg.t, d=cfg.d)
+        # The coalition pools the shares a run of this config deals it.
+        report = collusion_inference(dealt_shares(cfg, colluders), t=cfg.t, d=cfg.d)
     text = report.to_json()
     print(text)
     _write_output(args.output, text)
@@ -276,3 +274,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:  # console-script shim
     sys.exit(main())
+
+
+if __name__ == "__main__":  # python -m qsms.cli
+    entry_point()

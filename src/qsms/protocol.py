@@ -7,6 +7,12 @@ shadows (3), the initiator prepares and distributes a GHZ-type state (4),
 each qualified player applies QFT then a Pauli shift by their shadow (5),
 everyone measures and broadcasts (6), and the digits are summed mod d (7).
 A run produces a JSON-serializable transcript.
+
+The committee stays fixed from one run to the next: d, the evaluation
+points and the qualified set. What those public parameters fix (the points'
+residues and the qualified set's Lagrange weights) is computed once per
+process and parameter set, in a bounded LRU cache of read-only arrays that
+no secret, seed or share enters.
 """
 from __future__ import annotations
 
@@ -38,6 +44,9 @@ OUTCOME_GUARD = 2**24
 # Most share messages (dealers x n) a run may hold: writing the transcript
 # peaks at about 1 KiB per message, with its dealer share, 64 MiB at the guard.
 MESSAGE_GUARD = 2**16
+# Committees kept, one per (d, evaluation points, qualified set): n residues
+# and t weights each.
+COMMITTEE_CACHE = 32
 
 
 class ConfigError(ValueError):
@@ -210,6 +219,26 @@ _SHARE_KEYS = ("x", "value", "modulus")
 _PAYLOAD_KEYS = {"share": _SHARE_KEYS, "particle": ("position",)}
 
 
+@functools.lru_cache(maxsize=COMMITTEE_CACHE)
+def committee(d: int, evaluation_points: tuple[int, ...],
+              qualified: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """What the public committee fixes, shared read-only: every player's
+    evaluation point as ``zmod.residues``, which ``deal`` evaluates each
+    polynomial at, and the qualified set's Lagrange weights at x=0, which
+    turn its combined shares into shadows."""
+    points = residues(evaluation_points, d)
+    weights = lagrange_weights([evaluation_points[i - 1] for i in qualified], d)
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
+
+
+def run_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The generators a run with ``seed`` deals and draws its shots from: two
+    children spawned from one ``SeedSequence``."""
+    deal_seq, shot_seq = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(deal_seq), np.random.default_rng(shot_seq)
+
+
 def deal(config: ResolvedConfig, rng: np.random.Generator) -> np.ndarray:
     """Step 1: each dealer evaluates its polynomial at every player's point.
 
@@ -224,7 +253,7 @@ def deal(config: ResolvedConfig, rng: np.random.Generator) -> np.ndarray:
         # values, in the same order, as t-1 scalar draws per dealer.
         draws = rng.integers(0, d, size=(len(config.secrets), config.t - 1))
         coefficients = residues(np.column_stack([config.secrets, draws]), d)
-    points = residues(config.evaluation_points, d)
+    points, _ = committee(d, config.evaluation_points, config.qualified)
     rows = np.zeros((len(coefficients), config.n), dtype=points.dtype)
     for column in coefficients.T[::-1]:  # Horner, highest degree first
         rows = (rows * points + column[:, None]) % d
@@ -245,9 +274,8 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
     d = config.d
     rows = deal(config, rng)
     combined = combine(rows, d)
-    qualified_points = [config.evaluation_points[i - 1] for i in config.qualified]
-    shadows = (combined[np.array(config.qualified) - 1]
-               * lagrange_weights(qualified_points, d) % d).tolist()
+    _, weights = committee(d, config.evaluation_points, config.qualified)
+    shadows = (combined[np.array(config.qualified) - 1] * weights % d).tolist()
     players = [
         PlayerState(i, combined=Share(FieldElement(x, d), FieldElement(value, d)))
         for i, (x, value) in enumerate(
@@ -324,13 +352,21 @@ def run_quantum_phase(
     """
     branches = post_transform_branches(shadows, d, tap)
     weights = np.array([weight for weight, _, _ in branches])
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValueError("tap branch probabilities must be finite and non-negative")
     total = weights.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"tap branch probabilities sum to {total}, not 1")
-    branch = rng.choice(len(weights), size=shots, p=weights / total)
+    # ``rng.choice(len(weights), shots, p=weights / total)``'s own two steps,
+    # the same values from the same draws, without its per-call checks.
+    uniform = rng.random(shots)
     labels = [branch_labels for _, branch_labels, _ in branches]
     if len(branches) == 1:
+        branch = np.zeros(shots, dtype=np.int64)
         return PhaseOutcomes(affine.sample(branches[0][2], shots, rng), branch, labels)
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    branch = cdf.searchsorted(uniform, side="right")
     # A stable sort of ints of at most 16 bits is a radix sort.
     order = np.argsort(branch.astype(np.min_scalar_type(len(branches) - 1)),
                        kind="stable")
@@ -527,13 +563,9 @@ def run_protocol(
     config: RunConfig | ResolvedConfig, tap: QuantumTap | None = None
 ) -> ProtocolTranscript:
     cfg = config.resolved() if isinstance(config, RunConfig) else config
-    root = np.random.SeedSequence(cfg.seed)
-    deal_seq, shot_seq = root.spawn(2)
-
-    prepared = prepare_run(cfg, np.random.default_rng(deal_seq))
-    phase = run_quantum_phase(
-        prepared.shadows, cfg.d, cfg.shots, np.random.default_rng(shot_seq), tap=tap
-    )
+    deal_rng, shot_rng = run_generators(cfg.seed)
+    prepared = prepare_run(cfg, deal_rng)
+    phase = run_quantum_phase(prepared.shadows, cfg.d, cfg.shots, shot_rng, tap=tap)
     sums = aggregate(phase.digits, cfg.d)
     if tap is None and (sums != sums[0]).any():
         raise AssertionError("honest run produced non-constant per-shot sums")

@@ -385,6 +385,15 @@ def test_parser_built_lazily_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_module_run_is_the_command():
+    # python -m qsms.cli once imported the module and exited 0 doing nothing.
+    env = {**os.environ, "PYTHONPATH": str(Path(qsms.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "qsms.cli", "demo", "--shots", "16"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK
+    assert done.stdout.splitlines()[-1] == "demo matches the reference values"
+
+
 def test_attack_report_independent_of_hash_seed():
     # A sum over a set of string keys once followed the interpreter's
     # per-process hash seed, changing the last digit of a distance.

@@ -194,6 +194,48 @@ def test_tap_probabilities_must_sum_to_one():
         run_protocol(PAPER_CONFIG, tap=lambda state, position: [(0.5, None, state)])
 
 
+def _weighted_tap(weights):
+    """A tap that splits the send to slot 2 into one branch per weight, every
+    branch passing the state on unchanged."""
+    def tap(state, position):
+        if position != 2:
+            return [(1.0, None, state)]
+        return [(w, i, state) for i, w in enumerate(weights)]
+    return tap
+
+
+@pytest.mark.parametrize("shots", [1, 100, 8192])
+@pytest.mark.parametrize("branches", [1, 2, 11, 121])
+def test_branch_draw_matches_rng_choice(branches, shots, monkeypatch):
+    # rng.choice is the oracle: the same branches, and the stream left where
+    # it leaves it, which is where the outcome draw starts.
+    weights = np.arange(1, branches + 1) / (branches * (branches + 1) / 2)
+    at_sample = []
+
+    def sample(state, count, rng):
+        at_sample.append(rng.bit_generator.state)
+        return np.zeros((count, state.t), dtype=np.int64)
+
+    monkeypatch.setattr(affine, "sample", sample)
+    phase = run_quantum_phase([5, 4, 7], 11, shots, np.random.default_rng(3),
+                              _weighted_tap(weights.tolist()))
+    oracle = np.random.default_rng(3)
+    want = oracle.choice(branches, size=shots, p=weights / weights.sum())
+    assert phase.branch.dtype == want.dtype
+    assert np.array_equal(phase.branch, want)
+    assert at_sample == [oracle.bit_generator.state]
+
+
+@pytest.mark.parametrize("weights", [[1.5, -0.5], [float("nan"), 1.0],
+                                     [float("inf"), 1.0]])
+def test_branch_draw_rejects_what_rng_choice_rejects(weights):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(2, size=4, p=np.array(weights))
+    with pytest.raises(ValueError, match="tap branch probabilities"):
+        run_quantum_phase([5, 4, 7], 11, 4, np.random.default_rng(0),
+                          _weighted_tap(weights))
+
+
 def test_run_quantum_phase_digit_sum_law():
     rng = np.random.default_rng(3)
     for out in run_quantum_phase([5, 4, 7], 11, 50, rng).digits:
