@@ -213,8 +213,8 @@ def dealt_shares(config: ResolvedConfig, players: Sequence[int]) -> list[Share]:
     """The combined shares ``run_protocol(config)`` deals to ``players``
     (indices in 1..n), from the same deal generator; no quantum phase runs."""
     deal_rng, _ = run_generators(config.seed)
-    dealt = prepare_run(config, deal_rng).players
-    return [dealt[i - 1].combined for i in players]
+    prepared = prepare_run(config, deal_rng)
+    return [prepared.combined_share(i) for i in players]
 
 
 def collusion_inference(

@@ -10,15 +10,9 @@ not see. This is the CSS case of the Z_d stabilizer formalism (Gottesman
 1999, quant-ph/9802007), so a state holds O(t^2) integers where the dense
 ``qudit`` engine holds d^t amplitudes. The dense engine is the oracle this
 one is tested against.
-
-What a state's basis fixes is computed once per process: the GHZ state per
-(t, d), and the dual basis the Fourier layer yields per (d, basis). Neither
-key holds an offset, and no shadow or outcome enters either cache; both are
-bounded LRU caches whose arrays are read-only.
 """
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
@@ -29,11 +23,6 @@ from .zmod import INT64_MODULUS_BOUND, is_prime, row_reduce
 # in a state of its own costs one Fourier layer and one sampler call, so the
 # count is what a tap on many legs multiplies.
 BRANCH_GUARD = 2**12
-# GHZ states and dual bases kept. A run needs one of each, and a tapped run
-# one more dual per distinct collapsed basis; a dual at t qudits holds up to
-# t^2 int64 entries.
-GHZ_CACHE = 32
-DUAL_CACHE = 16
 
 
 class DimensionGuardError(ValueError):
@@ -46,7 +35,7 @@ class AffineState:
 
     ``offset`` has shape (t,) and ``basis`` shape (k, t) with independent
     rows, all entries int64 in [0, d). Immutable by convention: branches
-    share arrays, and the cached ones are read-only.
+    share arrays.
     """
 
     __slots__ = ("d", "t", "offset", "basis")
@@ -64,10 +53,8 @@ def check_branches(count: int) -> None:
         raise DimensionGuardError(f"{count} tap branches exceed guard {BRANCH_GUARD}")
 
 
-@functools.lru_cache(maxsize=GHZ_CACHE)
 def prepare_ghz(t: int, d: int) -> AffineState:
-    """(1/sqrt(d)) sum_c |c>|c>...|c>: offset 0, basis the all-ones row.
-    One shared state per (t, d), its arrays read-only."""
+    """(1/sqrt(d)) sum_c |c>|c>...|c>: offset 0, basis the all-ones row."""
     if t < 1:
         raise ValueError("qudit count must be >= 1")
     if not is_prime(d):
@@ -76,14 +63,7 @@ def prepare_ghz(t: int, d: int) -> AffineState:
         raise DimensionGuardError(
             f"qudit dimension {d} >= 2^31, beyond exact int64 arithmetic"
         )
-    return AffineState(d, _frozen(np.zeros(t, dtype=np.int64)),
-                       _frozen(np.ones((1, t), dtype=np.int64)))
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """``array``, made read-only: a cached array is shared by every caller."""
-    array.flags.writeable = False
-    return array
+    return AffineState(d, np.zeros(t, dtype=np.int64), np.ones((1, t), dtype=np.int64))
 
 
 def _column(state: AffineState, position: int) -> int:
@@ -136,25 +116,13 @@ def _dual(basis: np.ndarray, d: int) -> np.ndarray:
     return null
 
 
-@functools.lru_cache(maxsize=DUAL_CACHE)
-def _cached_dual(d: int, shape: tuple[int, int], data: bytes) -> np.ndarray:
-    return _frozen(_dual(np.frombuffer(data, dtype=np.int64).reshape(shape), d))
-
-
-def dual_basis(basis: np.ndarray, d: int) -> np.ndarray:
-    """``_dual(basis, d)``, computed once per (d, basis shape, basis bytes)
-    and shared read-only."""
-    basis = np.ascontiguousarray(basis, dtype=np.int64)
-    return _cached_dual(d, basis.shape, basis.tobytes())
-
-
 def fourier_shift(state: AffineState, shadows) -> AffineState:
     """QFT then X^{shadow_u} on every qudit u, up to phases: every
     computational-basis outcome is uniform over V^perp + shadows."""
     if len(shadows) != state.t:
         raise ValueError(f"expected {state.t} shadows, got {len(shadows)}")
     offset = np.array(shadows, dtype=np.int64) % state.d
-    return AffineState(state.d, offset, dual_basis(state.basis, state.d))
+    return AffineState(state.d, offset, _dual(state.basis, state.d))
 
 
 def sample(state: AffineState, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,19 +7,13 @@ shadows (3), the initiator prepares and distributes a GHZ-type state (4),
 each qualified player applies QFT then a Pauli shift by their shadow (5),
 everyone measures and broadcasts (6), and the digits are summed mod d (7).
 A run produces a JSON-serializable transcript.
-
-The committee stays fixed from one run to the next: d, the evaluation
-points and the qualified set. What those public parameters fix (the points'
-residues and the qualified set's Lagrange weights) is computed once per
-process and parameter set, in a bounded LRU cache of read-only arrays that
-no secret, seed or share enters.
 """
 from __future__ import annotations
 
 import functools
 import json
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,9 +38,6 @@ OUTCOME_GUARD = 2**24
 # Most share messages (dealers x n) a run may hold: writing the transcript
 # peaks at about 1 KiB per message, with its dealer share, 64 MiB at the guard.
 MESSAGE_GUARD = 2**16
-# Committees kept, one per (d, evaluation points, qualified set): n residues
-# and t weights each.
-COMMITTEE_CACHE = 32
 
 
 class ConfigError(ValueError):
@@ -206,30 +197,34 @@ class PlayerState:
 
 @dataclass
 class PreparedRun:
-    """Result of the classical phase (Steps 1-3)."""
+    """Result of the classical phase (Steps 1-3), as integers; the players'
+    ``Share`` and ``Shadow`` records are built when first read."""
 
     config: ResolvedConfig
     dealer_rows: np.ndarray  # (dealers, n): dealer k's share for player i
-    players: list[PlayerState]
-    shadows: list[int] = field(default_factory=list)
+    combined: list[int]  # player i's combined share value, at index i - 1
+    shadows: list[int]  # slot u's shadow, at index u - 1
+
+    def combined_share(self, i: int) -> Share:
+        """Player ``i``'s (1..n) combined share."""
+        d = self.config.d
+        return Share(FieldElement(self.config.evaluation_points[i - 1], d),
+                     FieldElement(self.combined[i - 1], d))
+
+    @functools.cached_property
+    def players(self) -> list[PlayerState]:
+        players = [PlayerState(i, combined=self.combined_share(i))
+                   for i in range(1, self.config.n + 1)]
+        for position, (i, value) in enumerate(zip(self.config.qualified, self.shadows),
+                                              start=1):
+            players[i - 1].shadow = Shadow(owner=position,
+                                           value=FieldElement(value, self.config.d))
+        return players
 
 
 # ``Share.to_json()``'s keys, in order, and each message kind's payload keys.
 _SHARE_KEYS = ("x", "value", "modulus")
 _PAYLOAD_KEYS = {"share": _SHARE_KEYS, "particle": ("position",)}
-
-
-@functools.lru_cache(maxsize=COMMITTEE_CACHE)
-def committee(d: int, evaluation_points: tuple[int, ...],
-              qualified: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """What the public committee fixes, shared read-only: every player's
-    evaluation point as ``zmod.residues``, which ``deal`` evaluates each
-    polynomial at, and the qualified set's Lagrange weights at x=0, which
-    turn its combined shares into shadows."""
-    points = residues(evaluation_points, d)
-    weights = lagrange_weights([evaluation_points[i - 1] for i in qualified], d)
-    points.flags.writeable = weights.flags.writeable = False
-    return points, weights
 
 
 def run_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -253,7 +248,7 @@ def deal(config: ResolvedConfig, rng: np.random.Generator) -> np.ndarray:
         # values, in the same order, as t-1 scalar draws per dealer.
         draws = rng.integers(0, d, size=(len(config.secrets), config.t - 1))
         coefficients = residues(np.column_stack([config.secrets, draws]), d)
-    points, _ = committee(d, config.evaluation_points, config.qualified)
+    points = residues(config.evaluation_points, d)
     rows = np.zeros((len(coefficients), config.n), dtype=points.dtype)
     for column in coefficients.T[::-1]:  # Horner, highest degree first
         rows = (rows * points + column[:, None]) % d
@@ -268,22 +263,17 @@ def combine(dealer_rows: np.ndarray, d: int) -> np.ndarray:
 def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun:
     """Steps 1-3: deal, combine, and compute the qualified set's shadows.
 
-    Computed on arrays; each player's combined share and each qualified
-    player's shadow are then recorded once as a ``Share`` and a ``Shadow``.
+    Computed on arrays. A run's quantum phase reads only the shadows, so
+    each player's ``Share`` and ``Shadow`` are recorded when
+    ``PreparedRun.players`` is first read.
     """
     d = config.d
     rows = deal(config, rng)
     combined = combine(rows, d)
-    _, weights = committee(d, config.evaluation_points, config.qualified)
-    shadows = (combined[np.array(config.qualified) - 1] * weights % d).tolist()
-    players = [
-        PlayerState(i, combined=Share(FieldElement(x, d), FieldElement(value, d)))
-        for i, (x, value) in enumerate(
-            zip(config.evaluation_points, combined.tolist()), start=1)
-    ]
-    for position, (i, value) in enumerate(zip(config.qualified, shadows), start=1):
-        players[i - 1].shadow = Shadow(owner=position, value=FieldElement(value, d))
-    return PreparedRun(config, rows, players, shadows)
+    qualified_points = [config.evaluation_points[i - 1] for i in config.qualified]
+    shadows = (combined[np.array(config.qualified) - 1]
+               * lagrange_weights(qualified_points, d) % d).tolist()
+    return PreparedRun(config, rows, combined.tolist(), shadows)
 
 
 def post_transform_branches(

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsms import adversary, affine
+from qsms import adversary, affine, protocol
 from qsms.adversary import (
     ThresholdReachedError,
     collusion_inference,
@@ -299,6 +299,30 @@ def test_collusion_single_colluder_d5():
     report = collusion_inference([transcript.combined_shares[0]], t=2, d=5)
     assert report.passed
     assert report.details["candidate_count"] == 5
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=64, seed=1),
+    RunConfig(secrets=(4, 12), n=7, t=4, d=13, shots=1, seed=2**31 - 1),
+    RunConfig(secrets=(3,), n=3, t=2, d=5, shots=8, seed=0,
+              polynomials=((3, 1),)),
+])
+def test_dealt_shares_are_the_shares_a_run_deals(config):
+    # The coalition's shares without a quantum phase: the same deal generator.
+    players = [3, 1]
+    want = run_protocol(config).combined_shares
+    assert adversary.dealt_shares(config.resolved(), players) == [want[2], want[0]]
+
+
+def test_intercept_builds_no_player_records(monkeypatch):
+    # The tap attack reads only the shadows of each prepared run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("player record built")
+
+    monkeypatch.setattr(protocol, "PlayerState", refuse)
+    report = intercept_and_measure(
+        RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=500, seed=0), [(2, 3), (7, 9)])
+    assert report.shots == 500
 
 
 def test_collusion_candidates_uniformly_weighted():

@@ -149,6 +149,7 @@ def test_classical_phase_matches_object_api(cfg):
     ]
     combined = [functools.reduce(add_shares, column) for column in zip(*dealt)]
     assert [p.combined for p in prepared.players] == combined
+    assert [prepared.combined_share(i) for i in range(1, cfg.n + 1)] == combined
     qualified_points = [cfg.evaluation_points[i - 1] for i in cfg.qualified]
     shadows = [compute_shadow(combined[i - 1], u, qualified_points, d)
                for u, i in enumerate(cfg.qualified, start=1)]
