@@ -13,15 +13,6 @@ from .shamir import (
     generate_shares,
     reconstruct,
 )
-from .qudit import (
-    QuditState,
-    analytic_post_transform_state,
-    apply_iqft,
-    apply_qft,
-    apply_shift,
-    measure_all,
-    prepare_ghz,
-)
 from .protocol import ProtocolTranscript, RunConfig, aggregate, run_protocol
 from .adversary import (
     AttackReport,
@@ -43,13 +34,6 @@ __all__ = [
     "compute_shadow",
     "generate_shares",
     "reconstruct",
-    "QuditState",
-    "analytic_post_transform_state",
-    "apply_iqft",
-    "apply_qft",
-    "apply_shift",
-    "measure_all",
-    "prepare_ghz",
     "ProtocolTranscript",
     "RunConfig",
     "aggregate",

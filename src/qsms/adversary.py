@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import affine
-from .protocol import (ConfigError, ResolvedConfig, RunConfig, post_transform_branches,
-                       prepare_run, run_generators, run_protocol)
+from .protocol import (ConfigError, ResolvedConfig, RunConfig, _sequence,
+                       post_transform_branches, prepare_run, run_generators, run_protocol)
 from .shamir import Share
 from .zmod import is_prime, row_reduce
 
@@ -186,7 +186,7 @@ def intercept_resend(config: RunConfig, tap_position: int = 2) -> AttackReport:
     attacked = run_protocol(cfg, tap=tap)
     d, shots = cfg.d, cfg.shots
     # Every honest shot sums to the shadows' sum, the secret total.
-    honest_result = sum(s.value.value for s in attacked.shadows) % d
+    honest_result = sum(attacked.shadows) % d
     # Each branch's label at the tap is the attacker's digit.
     digit = [labels[tap_position - 2] for labels in attacked.tap_labels]
     attacker_counts = np.zeros(d, dtype=np.int64)
@@ -211,7 +211,12 @@ def intercept_resend(config: RunConfig, tap_position: int = 2) -> AttackReport:
 
 def dealt_shares(config: ResolvedConfig, players: Sequence[int]) -> list[Share]:
     """The combined shares ``run_protocol(config)`` deals to ``players``
-    (indices in 1..n), from the same deal generator; no quantum phase runs."""
+    (distinct indices in 1..n, else a ``ConfigError``), from the same deal
+    generator; no quantum phase runs."""
+    # Player 0 or -1 would silently take a share from the end of the list.
+    players = _sequence("colluders", players)
+    if len(set(players)) != len(players) or not all(1 <= i <= config.n for i in players):
+        raise ConfigError(f"colluders must be distinct players in 1..{config.n}")
     deal_rng, _ = run_generators(config.seed)
     prepared = prepare_run(config, deal_rng)
     return [prepared.combined_share(i) for i in players]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import affine, qudit
+from . import affine
 from .adversary import collusion_inference, dealt_shares, intercept_and_measure, intercept_resend
 from .affine import DimensionGuardError
 from .protocol import ConfigError, RunConfig, post_transform_branches, run_protocol
@@ -86,12 +86,8 @@ def _render_table(transcript) -> str:
     for k, row in enumerate(transcript.dealer_rows.tolist()):
         label = f"poly_{k + 1}(x_i)"
         lines.append(f"{label:<10}" + "".join(f"{v:<6}" for v in row))
-    lines.append(
-        f"{'h(x_i)':<10}"
-        + "".join(f"{s.value.value:<6}" for s in transcript.combined_shares)
-    )
-    shadows = [s.value.value for s in transcript.shadows]
-    lines.append(f"shadows (qualified set {list(cfg.qualified)}): {shadows}")
+    lines.append(f"{'h(x_i)':<10}" + "".join(f"{v:<6}" for v in transcript.combined))
+    lines.append(f"shadows (qualified set {list(cfg.qualified)}): {transcript.shadows}")
     lines.append(
         f"result: {transcript.result}  (binary {transcript.result_binary})"
     )
@@ -130,13 +126,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
     mismatches = []
     got_f, got_g = transcript.dealer_rows.tolist()
-    got_h = [s.value.value for s in transcript.combined_shares]
-    got_shadows = [s.value.value for s in transcript.shadows]
     for name, got, want in (
         ("f shares", got_f, DEMO_F_ROW),
         ("g shares", got_g, DEMO_G_ROW),
-        ("h shares", got_h, DEMO_H_ROW),
-        ("shadows", got_shadows, DEMO_SHADOWS),
+        ("h shares", transcript.combined, DEMO_H_ROW),
+        ("shadows", transcript.shadows, DEMO_SHADOWS),
         ("result", transcript.result, DEMO_RESULT),
         ("binary", transcript.result_binary, "101"),
     ):
@@ -158,16 +152,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     elif args.kind == "intercept-resend":
         report = intercept_resend(replace(config, seed=args.seed + 1))
     else:  # collusion
-        cfg, colluders = config.resolved(), args.colluders
-        if colluders is None:
+        cfg = config.resolved()
+        if args.colluders is None:
             raise ConfigError("--colluders is required for a collusion attack")
-        # Colluder 0 would silently take shares[-1].
-        if len(set(colluders)) != len(colluders) or not all(
-            1 <= i <= cfg.n for i in colluders
-        ):
-            raise ConfigError(f"colluders must be distinct players in 1..{cfg.n}")
         # The coalition pools the shares a run of this config deals it.
-        report = collusion_inference(dealt_shares(cfg, colluders), t=cfg.t, d=cfg.d)
+        report = collusion_inference(dealt_shares(cfg, args.colluders), t=cfg.t, d=cfg.d)
     text = report.to_json()
     print(text)
     _write_output(args.output, text)
@@ -175,6 +164,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import qudit  # the dense oracle; no other command imports it
+
     d, t = args.d, args.t
     shadows = list(args.shadows)
     if len(shadows) != t:

@@ -195,6 +195,12 @@ class PlayerState:
     shadow: Shadow | None = None
 
 
+def _player_share(config: ResolvedConfig, i: int, value: int) -> Share:
+    """Player ``i``'s (1..n) share of ``value`` at its evaluation point."""
+    return Share(FieldElement(config.evaluation_points[i - 1], config.d),
+                 FieldElement(value, config.d))
+
+
 @dataclass
 class PreparedRun:
     """Result of the classical phase (Steps 1-3), as integers; the players'
@@ -207,9 +213,7 @@ class PreparedRun:
 
     def combined_share(self, i: int) -> Share:
         """Player ``i``'s (1..n) combined share."""
-        d = self.config.d
-        return Share(FieldElement(self.config.evaluation_points[i - 1], d),
-                     FieldElement(self.combined[i - 1], d))
+        return _player_share(self.config, i, self.combined[i - 1])
 
     @functools.cached_property
     def players(self) -> list[PlayerState]:
@@ -264,8 +268,7 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
     """Steps 1-3: deal, combine, and compute the qualified set's shadows.
 
     Computed on arrays. A run's quantum phase reads only the shadows, so
-    each player's ``Share`` and ``Shadow`` are recorded when
-    ``PreparedRun.players`` is first read.
+    no player's ``Share`` or ``Shadow`` is built unless a caller reads one.
     """
     d = config.d
     rows = deal(config, rng)
@@ -433,9 +436,10 @@ def _message_records(config: ResolvedConfig, dealer_rows: np.ndarray) -> list[tu
 @dataclass
 class ProtocolTranscript:
     config: ResolvedConfig
-    dealer_rows: np.ndarray  # (dealers, n) shares, as PreparedRun.dealer_rows
-    combined_shares: list[Share]
-    shadows: list[Shadow]
+    # The classical phase's integers, as PreparedRun holds them.
+    dealer_rows: np.ndarray  # (dealers, n) shares
+    combined: list[int]  # player i's combined share value, at index i - 1
+    shadows: list[int]  # slot u's shadow, at index u - 1
     outcomes: np.ndarray  # (shots, t) int64 measured digits
     # Not serialized: each shot's tap branch, and each branch's labels.
     tap_branch: np.ndarray  # (shots,) int64 index into tap_labels
@@ -453,6 +457,12 @@ class ProtocolTranscript:
                  "payload": dict(zip(_PAYLOAD_KEYS[kind], values))}
                 for sender, receiver, kind, values in _message_records(self.config,
                                                                        self.dealer_rows)]
+
+    @property
+    def combined_shares(self) -> list[Share]:
+        """The n combined shares as ``Share`` records, built on each read."""
+        return [_player_share(self.config, i, value)
+                for i, value in enumerate(self.combined, start=1)]
 
     @functools.cached_property
     def _outcome_table(self) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
@@ -487,13 +497,14 @@ class ProtocolTranscript:
 
     def to_dict(self) -> dict:
         """The transcript as JSON values: the oracle ``to_json`` is checked against."""
-        messages, n = self.messages, self.config.n
+        messages, n, d = self.messages, self.config.n, self.config.d
         shares = [m["payload"] for m in messages if m["kind"] == "share"]
         return {
             "config": self.config.to_json(),
             "shares": {"dealers": [shares[k:k + n] for k in range(0, len(shares), n)],
                        "combined": [s.to_json() for s in self.combined_shares]},
-            "shadows": [s.to_json() for s in self.shadows],
+            "shadows": [Shadow(u, FieldElement(v, d)).to_json()
+                        for u, v in enumerate(self.shadows, start=1)],
             "messages": messages,
             "histogram": self.histogram(),
             "outcomes": self.outcomes.tolist(),
@@ -513,8 +524,8 @@ class ProtocolTranscript:
         dealers = ["".join(_json_list([share.format(x, v, d)
                                        for x, v in zip(points, row)], 3))
                    for row in self.dealer_rows.tolist()]
-        combined = [_template(3, _SHARE_KEYS).format(s.x.value, s.value.value, d)
-                    for s in self.combined_shares]
+        combined = [_template(3, _SHARE_KEYS).format(x, v, d)
+                    for x, v in zip(points, self.combined)]
         shadow = _template(2, ("owner", "value", "modulus"))
         message = _template(2, ("sender", "receiver", "kind", "payload"))
         messages = [message.format(f'"{src}"', f'"{dst}"', f'"{kind}"',
@@ -531,8 +542,8 @@ class ProtocolTranscript:
             "shares": _json_list([f'"dealers": {"".join(_json_list(dealers, 2))}',
                                   f'"combined": {"".join(_json_list(combined, 2))}'],
                                  1, "{}"),
-            "shadows": _json_list([shadow.format(s.owner, s.value.value, d)
-                                   for s in self.shadows], 1),
+            "shadows": _json_list([shadow.format(u, v, d)
+                                   for u, v in enumerate(self.shadows, start=1)], 1),
             "messages": _json_list(messages, 1),
             "histogram": [_template(1, ("d", "t", "shots", "seed", "counts")).format(
                 d, cfg.t, len(self.outcomes), self.seed,
@@ -564,8 +575,8 @@ def run_protocol(
     return ProtocolTranscript(
         config=cfg,
         dealer_rows=prepared.dealer_rows,
-        combined_shares=[p.combined for p in prepared.players],
-        shadows=[prepared.players[i - 1].shadow for i in cfg.qualified],
+        combined=prepared.combined,
+        shadows=prepared.shadows,
         outcomes=phase.digits,
         tap_branch=phase.branch,
         tap_labels=phase.labels,

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsms import adversary, affine, protocol
+from qsms import adversary, affine, cli, protocol
 from qsms.adversary import (
     ThresholdReachedError,
     collusion_inference,
@@ -314,15 +314,41 @@ def test_dealt_shares_are_the_shares_a_run_deals(config):
     assert adversary.dealt_shares(config.resolved(), players) == [want[2], want[0]]
 
 
-def test_intercept_builds_no_player_records(monkeypatch):
-    # The tap attack reads only the shadows of each prepared run.
+@pytest.mark.parametrize("players", [[0, 7], [-1], [1, 8], [2, 2]])
+def test_dealt_shares_rejects_a_player_outside_1_to_n(players):
+    # Player 0 once took player 7's share, -1 player 6's; 8 raised IndexError.
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, seed=1).resolved()
+    with pytest.raises(ConfigError, match=r"^colluders must be distinct players in 1\.\.7$"):
+        adversary.dealt_shares(cfg, players)
+
+
+_RECORD_FREE_CONFIG = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=500, seed=0)
+_SMALL_RUN = ["run", "--secrets", "2,3", "--n", "7", "--t", "3", "--d", "11",
+              "--shots", "64"]
+# Each job returns a value that is true when it succeeded.
+_RECORD_FREE_JOBS = {
+    "intercept": lambda tmp: intercept_and_measure(
+        _RECORD_FREE_CONFIG, [(2, 3), (7, 9)]).shots == 500,
+    "intercept-resend": lambda tmp: intercept_resend(_RECORD_FREE_CONFIG).passed,
+    "run_protocol-to_json": lambda tmp: run_protocol(_RECORD_FREE_CONFIG).to_json(),
+    "cli-demo-output": lambda tmp: cli.main(
+        ["demo", "--shots", "64", "--output", str(tmp / "demo.json")]) == cli.EXIT_OK,
+    "cli-run-json": lambda tmp: cli.main([*_SMALL_RUN, "--format", "json"]) == cli.EXIT_OK,
+    "cli-run-csv": lambda tmp: cli.main([*_SMALL_RUN, "--format", "csv"]) == cli.EXIT_OK,
+    "cli-run-pretty": lambda tmp: cli.main([*_SMALL_RUN, "--format", "pretty"]) == cli.EXIT_OK,
+}
+
+
+@pytest.mark.parametrize("job", list(_RECORD_FREE_JOBS))
+def test_run_path_builds_no_records(job, monkeypatch, tmp_path, capsys):
+    # Runs, their writers and the tap attacks read the prepared run's integers.
     def refuse(*args, **kwargs):
         raise AssertionError("player record built")
 
-    monkeypatch.setattr(protocol, "PlayerState", refuse)
-    report = intercept_and_measure(
-        RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=500, seed=0), [(2, 3), (7, 9)])
-    assert report.shots == 500
+    for name in ("PlayerState", "Shadow", "Share"):
+        monkeypatch.setattr(protocol, name, refuse)
+    assert _RECORD_FREE_JOBS[job](tmp_path)
+    assert capsys.readouterr().err == ""
 
 
 def test_collusion_candidates_uniformly_weighted():

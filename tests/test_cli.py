@@ -385,6 +385,16 @@ def test_parser_built_lazily_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_runs_never_import_the_dense_engine():
+    # The dense engine is the oracle of ``qsms verify`` alone.
+    env = {**os.environ, "PYTHONPATH": str(Path(qsms.__file__).parents[1])}
+    code = ("import sys, qsms, qsms.cli; "
+            "assert qsms.cli.main(['demo', '--shots', '16']) == 0; "
+            "assert 'qsms.qudit' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True)
+
+
 def test_module_run_is_the_command():
     # python -m qsms.cli once imported the module and exited 0 doing nothing.
     env = {**os.environ, "PYTHONPATH": str(Path(qsms.__file__).parents[1])}
@@ -408,8 +418,8 @@ def test_attack_report_independent_of_hash_seed():
     assert len(outputs) == 1
 
 
-# Fuzzed inputs stay small: shots <= 64, d <= 31, t <= 4, no subprocesses.
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+# Fuzzed inputs stay small: shots <= 64, d <= 240, t <= 60, no subprocesses.
+_PRIMES = [p for p in range(2, 241) if all(p % q for q in range(2, p))]
 _INT = st.integers(-1, 40)
 _INTS = st.lists(_INT, max_size=5)
 _ROWS = st.lists(_INTS, max_size=3)
@@ -428,9 +438,9 @@ _MALFORMED = st.one_of(st.sampled_from(["x", "1.5", "", "2;x", "1,a", "--n", "0x
 
 @st.composite
 def _valid_inputs(draw) -> dict:
-    """A valid run: 2 <= n <= 12 players, t <= 4, a prime d in (n, 2n]."""
-    n = draw(st.integers(2, 12))
-    t = draw(st.integers(2, min(n, 4)))
+    """A valid run: 2 <= n <= 120 players, t <= 60, a prime d in (n, 2n]."""
+    n = draw(st.integers(2, 120))
+    t = draw(st.integers(2, min(n, 60)))
     d = draw(st.sampled_from([p for p in _PRIMES if n < p <= 2 * n]))
     secrets = st.lists(st.integers(0, d - 1), min_size=1, max_size=3)
     return {"n": n, "t": t, "d": d, "secrets": draw(secrets),

@@ -414,7 +414,7 @@ def test_run_protocol_reference_result():
     transcript = run_protocol(PAPER_CONFIG)
     assert transcript.result == 5
     assert transcript.result_binary == "101"
-    assert [s.value.value for s in transcript.shadows] == [5, 4, 7]
+    assert transcript.shadows == [5, 4, 7]
     assert set(transcript.per_shot_sums) == {5}
 
 
