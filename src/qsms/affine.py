@@ -30,21 +30,28 @@ class DimensionGuardError(ValueError):
     outcome entries, share messages, or the dense engine's d^t amplitudes."""
 
 
+def digit_dtype(d: int) -> np.dtype:
+    """A run's per-shot digits' dtype: the narrowest that holds 2d - 2."""
+    return np.min_scalar_type(2 * d - 2)
+
+
 class AffineState:
     """Uniform superposition over {offset + r @ basis mod d : r in Z_d^k}.
 
     ``offset`` has shape (t,) and ``basis`` shape (k, t) with independent
-    rows, all entries int64 in [0, d). Immutable by convention: branches
-    share arrays.
+    rows, all entries int64 in [0, d). ``columns``, if known, is (unit, rest,
+    rest basis): row j of the basis is 1 at column ``unit[j]`` and 0 at the
+    others in ``unit``. Immutable by convention: branches share arrays.
     """
 
-    __slots__ = ("d", "t", "offset", "basis")
+    __slots__ = ("d", "t", "offset", "basis", "columns")
 
-    def __init__(self, d: int, offset: np.ndarray, basis: np.ndarray):
+    def __init__(self, d: int, offset: np.ndarray, basis: np.ndarray, columns=None):
         self.d = d
         self.t = len(offset)
         self.offset = offset
         self.basis = basis
+        self.columns = columns
 
 
 def check_branches(count: int) -> None:
@@ -105,15 +112,16 @@ def collapse_branches(
     return [(1.0 / d, c, AffineState(d, (base + c * pivot) % d, rest)) for c in range(d)]
 
 
-def _dual(basis: np.ndarray, d: int) -> np.ndarray:
+def _dual(basis: np.ndarray, d: int) -> tuple[np.ndarray, list[int], list[int]]:
     """Independent rows spanning V^perp = {w : v . w = 0 mod d for all v in V},
-    V the row span of ``basis`` (shape (k, t))."""
+    V the row span of ``basis`` (shape (k, t)), with their free columns, on
+    which they are the identity, and their pivot columns."""
     reduced, pivots = row_reduce(basis, d)
     free = [c for c in range(basis.shape[1]) if c not in pivots]
     null = np.zeros((len(free), basis.shape[1]), dtype=np.int64)
     null[np.arange(len(free)), free] = 1
     null[:, pivots] = -reduced[:, free].T % d
-    return null
+    return null, free, pivots
 
 
 def fourier_shift(state: AffineState, shadows) -> AffineState:
@@ -122,38 +130,37 @@ def fourier_shift(state: AffineState, shadows) -> AffineState:
     if len(shadows) != state.t:
         raise ValueError(f"expected {state.t} shadows, got {len(shadows)}")
     offset = np.array(shadows, dtype=np.int64) % state.d
-    return AffineState(state.d, offset, _dual(state.basis, state.d))
+    basis, free, pivots = _dual(state.basis, state.d)
+    return AffineState(state.d, offset, basis, (free, pivots, basis[:, pivots]))
 
 
 def sample(state: AffineState, shots: int, rng: np.random.Generator) -> np.ndarray:
     """``shots`` computational-basis outcomes, shape (shots, t), in one draw:
-    offset + r @ basis mod d for uniform r in Z_d^k.
+    offset + r @ basis mod d for uniform r in Z_d^k, in ``digit_dtype(d)``.
 
     The result is the transpose of a (t, shots) array, so each qudit's
     digits are contiguous. Drawing n1 then n2 shots takes the same values
     from ``rng`` as drawing n1 + n2 at once.
     """
-    d, basis, offset = state.d, state.basis, state.offset
-    coeffs = rng.integers(0, d, size=(shots, len(basis))).T  # (k, shots)
-    out = np.empty((state.t, shots), dtype=np.int64)
-    # A column of the basis that is a unit vector copies one coefficient (the
-    # dual ``fourier_shift`` builds is the identity on all but its pivot
-    # columns); only the other columns need the product.
-    unit = ((basis != 0).sum(axis=0) == 1) & (basis.sum(axis=0) == 1)
-    _, rows = np.nonzero(basis[:, unit].T)
-    copied = coeffs[rows] + offset[unit, None]
-    # Exact with one conditional subtraction: a coefficient and an offset
-    # digit are each at most d - 1, so their sum is at most 2d - 2.
-    copied -= d * (copied >= d)
+    d, offset, dtype = state.d, state.offset, digit_dtype(state.d)
+    # Column unit[j] copies coefficient j; only the rest need the product.
+    unit, rest, basis = state.columns or ([], np.arange(state.t), state.basis)
+    # Drawn in int64, so the narrow dtype leaves the stream's values as they are.
+    drawn = rng.integers(0, d, size=(shots, len(state.basis)))
+    out = np.empty((state.t, shots), dtype=dtype)
+    copied = drawn[:, :len(unit)].T.astype(dtype, order="C")
+    copied += offset[unit, None].astype(dtype)
+    # Exact in ``dtype``: a coefficient plus an offset digit is some x <= 2d - 2,
+    # and unsigned x - d wraps above x when x < d, so min(x, x - d) is x mod d.
+    np.minimum(copied, copied - dtype.type(d), out=copied)
     out[unit] = copied
-    rest = ~unit
-    basis = basis[:, rest]
-    acc = np.repeat(offset[rest, None], shots, axis=1)
+    acc = offset[rest, None]
     # Exact in int64: a residue plus a block of ``step`` products stays below 2^63.
     step = max(1, (2**63 - d) // (d - 1) ** 2)
     for start in range(0, len(basis), step):
-        acc += basis[start:start + step].T @ coeffs[start:start + step]
-        acc %= d
+        block = basis[start:start + step].T @ drawn.T[start:start + step]
+        block += acc
+        acc = np.remainder(block, d, out=block)
     out[rest] = acc
     return out.T
 
@@ -165,7 +172,7 @@ def support_mask(state: AffineState) -> np.ndarray:
     d = state.d
     mask = np.ones(d**state.t, dtype=bool)
     # x is in offset + V iff w . x = w . offset for every w spanning V^perp.
-    for row in _dual(state.basis, d).tolist():
+    for row in _dual(state.basis, d)[0].tolist():
         acc = np.zeros(1, dtype=np.int64)
         for coeff in row:
             acc = ((acc[:, None] + np.arange(d) * coeff) % d).reshape(-1)

@@ -8,9 +8,9 @@ Exit codes: 0 success, 2 usage/config error, 3 simulator guard,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -53,18 +53,21 @@ def _poly_list(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_list(part) for part in text.split(";") if part.strip() != "")
 
 
-def _output_path(name: str) -> Path:
+def _open_output(name: str):
+    """``name``, under ``QSMS_OUTPUT_DIR`` if relative, opened to write text."""
     path = Path(name)
     if not path.is_absolute():
         path = Path(os.environ.get("QSMS_OUTPUT_DIR", ".")) / path
-    return path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", buffering=2**16)  # 64 KiB: blocks of shots in few writes
 
 
-def _write_output(name: str | None, text: str) -> None:
-    if name:
-        path = _output_path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+class _Tee(list):
+    """Text sinks, each of which gets every write."""
+
+    def write(self, text: str) -> None:
+        for sink in self:
+            sink.write(text)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -95,21 +98,23 @@ def _render_table(transcript) -> str:
 
 
 def _emit_transcript(transcript, args) -> None:
+    """``--format`` on stdout, JSON to ``--output``: one ``write_json`` pass feeds both."""
     fmt = getattr(args, "format", "pretty")
     output = getattr(args, "output", None)
-    text = transcript.to_json() if fmt == "json" or output else None
+    with contextlib.ExitStack() as stack:
+        sinks = _Tee([stack.enter_context(_open_output(output))] if output else [])
+        if fmt == "json":
+            sinks.append(sys.stdout)
+        elif fmt == "csv":
+            writer = csv.writer(sys.stdout)
+            writer.writerow(["outcome", "count"])
+            writer.writerows(transcript.histogram()["counts"].items())
+        else:
+            print(_render_table(transcript))
+        if sinks:
+            transcript.write_json(sinks)
     if fmt == "json":
-        print(text)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["outcome", "count"])
-        for label, count in transcript.histogram()["counts"].items():
-            writer.writerow([label, count])
-        print(buf.getvalue(), end="")
-    else:
-        print(_render_table(transcript))
-    _write_output(output, text)
+        print()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -159,7 +164,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         report = collusion_inference(dealt_shares(cfg, args.colluders), t=cfg.t, d=cfg.d)
     text = report.to_json()
     print(text)
-    _write_output(args.output, text)
+    if args.output:
+        with _open_output(args.output) as fh:
+            fh.write(text)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import types
 from dataclasses import dataclass, fields
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import affine
-from .affine import AffineState, DimensionGuardError
+from .affine import AffineState, DimensionGuardError, digit_dtype
 from .shamir import Share, Shadow
 # Not called here: perfbench/tracer.py patches these names in this module
 # until it is rebuilt on spans (ROADMAP item 1).
@@ -32,9 +33,11 @@ from .zmod import FieldElement, is_prime, lagrange_weights, residues, smallest_v
 # [(1.0, None, state)]. The honest path installs none.
 QuantumTap = Callable[[AffineState, int], list[tuple[float, Hashable, AffineState]]]
 
-# Most outcome digits (shots x t) a run may hold: 128 MiB as int64, before
-# the transcript writes each one as text.
+# Most outcome digits (shots x t) a run may hold: 16 to 64 MiB in
+# ``digit_dtype(d)``, before the transcript writes them as text in blocks.
 OUTCOME_GUARD = 2**24
+# Shots whose outcome rows and per-shot sums ``write_json`` formats at once.
+SHOTS_PER_BLOCK = 1024
 # Most share messages (dealers x n) a run may hold: writing the transcript
 # peaks at about 1 KiB per message, with its dealer share, 64 MiB at the guard.
 MESSAGE_GUARD = 2**16
@@ -320,7 +323,7 @@ def post_transform_branches(
 class PhaseOutcomes:
     """Step 6 for every shot: the measured digits and the tap branch drawn."""
 
-    digits: np.ndarray  # (shots, t) int64, qudit 1 first
+    digits: np.ndarray  # (shots, t) in digit_dtype(d), qudit 1 first
     branch: np.ndarray  # (shots,) int64 index into labels
     labels: list[tuple]  # per tap branch, the labels of its sends
 
@@ -363,7 +366,7 @@ def run_quantum_phase(
     # A stable sort of ints of at most 16 bits is a radix sort.
     order = np.argsort(branch.astype(np.min_scalar_type(len(branches) - 1)),
                        kind="stable")
-    digits = np.empty((len(shadows), shots), dtype=np.int64).T
+    digits = np.empty((len(shadows), shots), dtype=digit_dtype(d)).T
     # Drawing a run of branches' shots at once takes the same values from
     # ``rng`` as drawing each branch's shots in turn.
     start = end = 0
@@ -379,18 +382,18 @@ def run_quantum_phase(
 def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     """Step 7: each shot's broadcast digits sum to the secret total mod d.
 
-    ``digits`` holds one row per shot; returns one int64 sum per shot.
+    ``digits`` holds one row per shot; returns one sum per shot in ``digit_dtype(d)``.
     """
-    digits = np.asarray(digits, dtype=np.int64)
+    digits = np.asarray(digits)
     if digits.size and (digits.min() < 0 or digits.max() >= d):
         outside = (digits < 0) | (digits >= d)
         raise ValueError(f"digit {digits[outside][0]} outside [0, {d})")
-    # Column by column: one pass over each qudit's digits, not a short
-    # reduction per shot.
-    sums = np.zeros(digits.shape[:-1], dtype=np.int64)
+    # Column by column, one pass over each qudit's digits, into one
+    # accumulator that holds t * (d - 1), so one reduction at the end is exact.
+    sums = np.zeros(digits.shape[:-1], np.min_scalar_type(digits.shape[-1] * (d - 1)))
     for column in np.moveaxis(digits, -1, 0):
-        sums += column
-    return sums % d
+        np.add(sums, column, out=sums, casting="unsafe")  # in range: checked above
+    return np.remainder(sums, d, out=sums).astype(digit_dtype(d), copy=False)
 
 
 def _json_list(texts: list[str], depth: int, brackets: str = "[]") -> list[str]:
@@ -411,13 +414,23 @@ def _template(depth: int, keys: tuple[str, ...]) -> str:
     return "".join(_json_list([f'"{key}": {{}}' for key in keys], depth, ("{{", "}}")))
 
 
-def _digit_texts(digits: np.ndarray, d: int) -> np.ndarray:
-    """Each digit in [0, d) as its text, in an object array of ``digits``'
-    shape; each of the d texts (or of the digits present, if fewer) made once."""
+def _digit_table(digits: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, codes): ``texts[codes]`` is each digit in [0, d) as its text, in
+    ``digits``' shape, each of the d texts (or of the digits present) made once."""
     values, codes = ((np.arange(d), digits) if d <= digits.size
                      else np.unique(digits, return_inverse=True))
-    texts = np.array(list(map(str, values.tolist())), dtype=object)
-    return texts[codes.reshape(digits.shape)]
+    return (np.array(list(map(str, values.tolist())), dtype=object),
+            codes.reshape(digits.shape))
+
+
+def _json_blocks(texts: np.ndarray, codes: np.ndarray, depth: int) -> Iterator[str]:
+    """``_json_list(texts[codes].tolist(), depth)``'s text in pieces, each
+    block of ``SHOTS_PER_BLOCK`` entries joined only when it is reached."""
+    opening, sep, closing = _json_list(["", ""], depth)
+    for start in range(0, len(codes), SHOTS_PER_BLOCK):
+        yield sep if start else opening
+        yield sep.join(texts[codes[start:start + SHOTS_PER_BLOCK]].tolist())
+    yield closing if len(codes) else "[]"
 
 
 def _message_records(config: ResolvedConfig, dealer_rows: np.ndarray) -> list[tuple]:
@@ -440,11 +453,11 @@ class ProtocolTranscript:
     dealer_rows: np.ndarray  # (dealers, n) shares
     combined: list[int]  # player i's combined share value, at index i - 1
     shadows: list[int]  # slot u's shadow, at index u - 1
-    outcomes: np.ndarray  # (shots, t) int64 measured digits
+    outcomes: np.ndarray  # (shots, t) measured digits, in digit_dtype(d)
     # Not serialized: each shot's tap branch, and each branch's labels.
     tap_branch: np.ndarray  # (shots,) int64 index into tap_labels
     tap_labels: list[tuple]
-    per_shot_sums: np.ndarray  # (shots,) int64
+    per_shot_sums: np.ndarray  # (shots,) in digit_dtype(d)
     result: int
     result_binary: str
     seed: int
@@ -452,7 +465,7 @@ class ProtocolTranscript:
     @property
     def messages(self) -> list[dict]:
         """Every message in send order as JSON-ready dicts, built on each read
-        from the config and ``dealer_rows`` alone; ``to_json`` does not read it."""
+        from the config and ``dealer_rows`` alone; ``write_json`` does not read it."""
         return [{"sender": sender, "receiver": receiver, "kind": kind,
                  "payload": dict(zip(_PAYLOAD_KEYS[kind], values))}
                 for sender, receiver, kind, values in _message_records(self.config,
@@ -468,14 +481,13 @@ class ProtocolTranscript:
     def _outcome_table(self) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
         """Each distinct outcome row's digit texts, in ascending digit order,
         each shot's index into the rows and each row's count: the one table
-        that ``histogram()`` and ``to_json()`` share.
+        that ``histogram()`` and ``write_json()`` share.
 
         One stable ``np.lexsort`` of the digit columns, qudit 1 the primary
-        key, orders the shots; each column is cast to the narrowest unsigned
-        dtype that holds d - 1, so 8- and 16-bit keys sort by radix. A row
-        starts wherever a shot's digits differ from the shot before it."""
-        d, outcomes = self.config.d, self.outcomes
-        columns = outcomes.T.astype(np.min_scalar_type(d - 1), order="C")
+        key, orders the shots; the digits are in ``digit_dtype(d)``, 8 or 16
+        bits for d up to 2^15, so the keys sort by radix. A row starts
+        wherever a shot's digits differ from the shot before it."""
+        columns = self.outcomes.T
         order = np.lexsort(columns[::-1])
         # take, unlike [:, order], keeps each qudit's digits contiguous.
         ordered = columns.take(order, axis=1)
@@ -484,8 +496,8 @@ class ProtocolTranscript:
         inverse[order] = np.cumsum(starts) - 1
         first = np.flatnonzero(starts)
         counts = np.diff(first, append=len(order))
-        rows = outcomes.take(order[first], axis=0)
-        return _digit_texts(rows, d).tolist(), inverse, counts
+        texts, codes = _digit_table(ordered[:, first].T, self.config.d)
+        return texts[codes].tolist(), inverse, counts
 
     def histogram(self) -> dict:
         """JSON-ready histogram keyed by dash-joined digit strings, in
@@ -496,7 +508,7 @@ class ProtocolTranscript:
                 "seed": self.seed, "counts": dict(counts)}
 
     def to_dict(self) -> dict:
-        """The transcript as JSON values: the oracle ``to_json`` is checked against."""
+        """The transcript as JSON values: the oracle ``write_json`` is checked against."""
         messages, n, d = self.messages, self.config.n, self.config.d
         shares = [m["payload"] for m in messages if m["kind"] == "share"]
         return {
@@ -515,9 +527,17 @@ class ProtocolTranscript:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, byte for byte, from one template
-        per record kind and one text per distinct per-shot entry. Only the config
-        goes through ``json.dumps``: no other string written needs escaping."""
+        """``write_json``'s text, its pieces joined once."""
+        pieces = []
+        self.write_json(types.SimpleNamespace(write=pieces.append))
+        return "".join(pieces)
+
+    def write_json(self, fp) -> None:
+        """``json.dumps(self.to_dict(), indent=2)``, byte for byte, written to
+        ``fp`` in order, from one template per record kind and one text per
+        distinct per-shot entry; the per-shot sections go out in blocks of
+        ``SHOTS_PER_BLOCK`` shots. Only the config goes through ``json.dumps``:
+        no other string written needs escaping."""
         cfg, d = self.config, self.config.d
         points = [p % d for p in cfg.evaluation_points]
         share = _template(4, _SHARE_KEYS)
@@ -548,16 +568,19 @@ class ProtocolTranscript:
             "histogram": [_template(1, ("d", "t", "shots", "seed", "counts")).format(
                 d, cfg.t, len(self.outcomes), self.seed,
                 "".join(_json_list(counts, 2, "{}")))],
-            "outcomes": _json_list(rows[inverse].tolist(), 1),
-            "per_shot_sums": _json_list(_digit_texts(self.per_shot_sums, d).tolist(), 1),
+            "outcomes": _json_blocks(rows, inverse, 1),
+            "per_shot_sums": _json_blocks(*_digit_table(self.per_shot_sums, d), 1),
             "result": [str(self.result)],
             "result_binary": [f'"{self.result_binary}"'],
             "seed": [str(self.seed)],
         }
-        pieces = []
-        for key, value in sections.items():
-            pieces += [",\n  " if pieces else "{\n  ", f'"{key}": ', *value]
-        return "".join(pieces + ["\n}"])
+        opening = "{\n  "
+        for key, pieces in sections.items():
+            fp.write(f'{opening}"{key}": ')
+            for piece in pieces:
+                fp.write(piece)
+            opening = ",\n  "
+        fp.write("\n}")
 
 
 def run_protocol(

@@ -87,8 +87,8 @@ def test_sample_exact_near_int64_modulus_bound():
 @given(d=st.sampled_from([2, 3, 11, 2**31 - 1]), k=st.integers(0, 4),
        t=st.integers(1, 6), data=st.data())
 def test_sample_matches_integer_formula(d, k, t, data):
-    # Entries 0 and 1 make unit columns, copied from one coefficient; the
-    # other columns go through the product.
+    # A state built without ``fourier_shift`` knows no unit columns, so every
+    # column goes through the product; entries 0, 1 and d - 1 are its edges.
     entry = st.one_of(st.sampled_from([0, 1, d - 1]), st.integers(0, d - 1))
     basis = np.array(data.draw(st.lists(st.lists(entry, min_size=t, max_size=t),
                                         min_size=k, max_size=k)),
@@ -102,6 +102,24 @@ def test_sample_matches_integer_formula(d, k, t, data):
              for o, column in zip(offset.tolist(), basis.T.tolist())]
             for row in coeffs]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("d,t", [(2, 1), (11, 3), (211, 150)])
+def test_fourier_shift_names_the_unit_columns_sample_copies(d, t):
+    # The unit columns the post-transform state names copy their coefficient
+    # plus an offset digit; the same state without them takes the product
+    # path on every column, and both give the same digits in the same dtype.
+    state = affine.fourier_shift(affine.prepare_ghz(t, d), [d - 1 - u % d for u in range(t)])
+    unit, rest, basis = state.columns
+    assert sorted([*unit, *rest]) == list(range(t)) and len(unit) == len(state.basis)
+    np.testing.assert_array_equal(state.basis[:, unit], np.eye(len(unit), dtype=np.int64))
+    np.testing.assert_array_equal(basis, state.basis[:, rest])
+    bare = affine.AffineState(d, state.offset, state.basis)
+    assert bare.columns is None
+    got = affine.sample(state, 300, np.random.default_rng(t))
+    want = affine.sample(bare, 300, np.random.default_rng(t))
+    assert got.dtype == want.dtype == affine.digit_dtype(d)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_prepare_ghz_checks_its_inputs():

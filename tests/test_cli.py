@@ -236,29 +236,43 @@ def test_verify_guard_holds_beyond_int64_modulus(capsys):
 )
 def test_output_serialized_once(cls, argv, tmp_path, monkeypatch, capsys):
     calls = []
-    to_json = cls.to_json
+    # A transcript is streamed by write_json; a report is one to_json text.
+    method = "write_json" if cls is ProtocolTranscript else "to_json"
+    serialize = getattr(cls, method)
 
-    def counted(self):
+    def counted(self, *args):
         calls.append(self)
-        return to_json(self)
+        return serialize(self, *args)
 
-    monkeypatch.setattr(cls, "to_json", counted)
+    monkeypatch.setattr(cls, method, counted)
     out_file = tmp_path / "out.json"
     assert main([*argv, "--output", str(out_file)]) == EXIT_OK
     assert len(calls) == 1
     assert capsys.readouterr().out == out_file.read_text() + "\n"
 
 
+def test_json_stdout_and_output_file_from_one_pass(tmp_path, capsys):
+    # More shots than one block of the streamed writer.
+    shots = 2 * qsms.protocol.SHOTS_PER_BLOCK + 3
+    out_file = tmp_path / "out.json"
+    assert main(["run", "--secrets", "3,5", "--n", "7", "--t", "3", "--d", "11",
+                 "--shots", str(shots), "--format", "json",
+                 "--output", str(out_file)]) == EXIT_OK
+    text = out_file.read_text()
+    assert capsys.readouterr().out == text + "\n"
+    assert len(json.loads(text)["outcomes"]) == shots
+
+
 @pytest.mark.parametrize("output", [False, True])
 def test_demo_serializes_only_to_write(output, tmp_path, monkeypatch, capsys):
     calls = []
-    to_json = ProtocolTranscript.to_json
+    write_json = ProtocolTranscript.write_json
 
-    def counted(self):
+    def counted(self, fp):
         calls.append(self)
-        return to_json(self)
+        return write_json(self, fp)
 
-    monkeypatch.setattr(ProtocolTranscript, "to_json", counted)
+    monkeypatch.setattr(ProtocolTranscript, "write_json", counted)
     out_file = tmp_path / "demo.json"
     argv = ["demo", "--shots", "64"] + (["--output", str(out_file)] if output else [])
     assert main(argv) == EXIT_OK

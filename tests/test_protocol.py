@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -515,6 +516,59 @@ def test_to_json_matches_stdlib_encoder(transcript):
     _assert_same_text(text, json.dumps(transcript.to_dict(), indent=2))
     round_trips = json.loads(text) == transcript.to_dict()
     assert round_trips
+
+
+_BLOCK = protocol.SHOTS_PER_BLOCK
+
+
+@pytest.mark.parametrize("tapped", [False, True])
+@pytest.mark.parametrize("shots", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_write_json_to_a_file_matches_stdlib_encoder(shots, tapped, tmp_path):
+    """The streamed writer's bytes on either side of each block boundary,
+    with and without a tap whose per-shot sums vary."""
+    def tap(state, position):
+        return collapse_branches(state, position) if position == 2 else [(1.0, None, state)]
+
+    transcript = run_protocol(RunConfig(secrets=(4, 9), n=7, t=3, d=11, shots=shots,
+                                        seed=shots), tap=tap if tapped else None)
+    path = tmp_path / "transcript.json"
+    with open(path, "w") as fh:
+        transcript.write_json(fh)
+    want = json.dumps(transcript.to_dict(), indent=2)
+    _assert_same_text(path.read_text(), want)
+    assert transcript.to_json() == want
+
+
+# (n, t, d): 2d - 2 = 252 fills uint8; d = 131 needs uint16; t * (d - 1) =
+# 91800 at t = 300, d = 307 overflows a uint16 accumulator.
+@pytest.mark.parametrize("n,t,d,dtype", [(100, 60, 127, np.uint8),
+                                         (100, 60, 131, np.uint16),
+                                         (300, 300, 307, np.uint16)])
+def test_narrow_digits_are_exact(n, t, d, dtype):
+    secrets = (d - 1, d - 2, 5)
+    transcript = run_protocol(RunConfig(secrets=secrets, n=n, t=t, d=d, shots=500))
+    assert affine.digit_dtype(d) == dtype
+    assert transcript.outcomes.dtype == dtype
+    assert transcript.per_shot_sums.dtype == dtype
+    assert set(transcript.per_shot_sums.tolist()) == {sum(secrets) % d}
+    reference = [sum(row) % d for row in transcript.outcomes.tolist()]
+    assert transcript.per_shot_sums.tolist() == reference
+    assert max(max(row) for row in transcript.outcomes.tolist()) < d
+    # An honest run's sums stay far below t * (d - 1), so the accumulator's
+    # width is checked on the largest digits.
+    top = np.full((3, t), d - 1, dtype=dtype)
+    assert aggregate(top, d).tolist() == [t * (d - 1) % d] * 3
+
+
+@pytest.mark.parametrize("digits,d,text", [
+    (np.array([[3, -1], [0, 0]]), 11, "digit -1 outside [0, 11)"),
+    (np.array([[3, 11], [12, 0]]), 11, "digit 11 outside [0, 11)"),
+    (np.full((2, 300), 306).tolist() + [[307] * 300], 307, "digit 307 outside [0, 307)"),
+    (np.array([[200, 3]], dtype=np.uint8), 127, "digit 200 outside [0, 127)"),
+])
+def test_aggregate_rejects_digits_outside_the_field(digits, d, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        aggregate(digits, d)
 
 
 def _assert_same_text(got: str, want: str) -> None:
