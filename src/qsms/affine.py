@@ -160,7 +160,8 @@ def sample(state: AffineState, shots: int, rng: np.random.Generator) -> np.ndarr
     for start in range(0, len(basis), step):
         block = basis[start:start + step].T @ drawn.T[start:start + step]
         block += acc
-        acc = np.remainder(block, d, out=block)
+        block -= block // d * d  # block mod d, in place: exact, as the block is >= 0
+        acc = block
     out[rest] = acc
     return out.T
 

@@ -58,8 +58,11 @@ def _open_output(name: str):
     path = Path(name)
     if not path.is_absolute():
         path = Path(os.environ.get("QSMS_OUTPUT_DIR", ".")) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", buffering=2**16)  # 64 KiB: blocks of shots in few writes
+    try:
+        return open(path, "w", buffering=2**16)  # 64 KiB: blocks of shots in few writes
+    except FileNotFoundError:  # the directory is made only when missing
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", buffering=2**16)
 
 
 class _Tee(list):

@@ -433,6 +433,24 @@ def _json_blocks(texts: np.ndarray, codes: np.ndarray, depth: int) -> Iterator[s
     yield closing if len(codes) else "[]"
 
 
+def _repeated_blocks(text: str, count: int, depth: int) -> Iterator[str]:
+    """``_json_list([text] * count, depth)``, ``count`` >= 1, in ``_json_blocks``' pieces."""
+    opening, sep, closing = _json_list(["", ""], depth)
+    for start in range(0, count, SHOTS_PER_BLOCK):
+        yield sep if start else opening
+        yield (text + sep) * (min(SHOTS_PER_BLOCK, count - start) - 1) + text
+    yield closing
+
+
+def _json_value(value, depth: int) -> str:
+    """An int, None or nested tuple of ints as ``_json_list`` writes it at ``depth``."""
+    if value is None:
+        return "null"
+    if isinstance(value, tuple):
+        return "".join(_json_list([_json_value(v, depth + 1) for v in value], depth))
+    return str(value)
+
+
 def _message_records(config: ResolvedConfig, dealer_rows: np.ndarray) -> list[tuple]:
     """(sender, receiver, kind, payload values keyed by ``_PAYLOAD_KEYS``) of
     every message in send order: each dealer's share to each player, then the
@@ -484,10 +502,10 @@ class ProtocolTranscript:
         that ``histogram()`` and ``write_json()`` share.
 
         One stable ``np.lexsort`` of the digit columns, qudit 1 the primary
-        key, orders the shots; the digits are in ``digit_dtype(d)``, 8 or 16
-        bits for d up to 2^15, so the keys sort by radix. A row starts
-        wherever a shot's digits differ from the shot before it."""
-        columns = self.outcomes.T
+        key, orders the shots; the keys, cast to the narrowest dtype holding
+        d - 1, are 8 or 16 bits for d < 2^16, so they sort by radix. A row
+        starts wherever a shot's digits differ from the shot before it."""
+        columns = self.outcomes.T.astype(np.min_scalar_type(self.config.d - 1), copy=False)
         order = np.lexsort(columns[::-1])
         # take, unlike [:, order], keeps each qudit's digits contiguous.
         ordered = columns.take(order, axis=1)
@@ -535,9 +553,8 @@ class ProtocolTranscript:
     def write_json(self, fp) -> None:
         """``json.dumps(self.to_dict(), indent=2)``, byte for byte, written to
         ``fp`` in order, from one template per record kind and one text per
-        distinct per-shot entry; the per-shot sections go out in blocks of
-        ``SHOTS_PER_BLOCK`` shots. Only the config goes through ``json.dumps``:
-        no other string written needs escaping."""
+        distinct per-shot entry (equal sums: one text); the per-shot sections go
+        out in blocks of ``SHOTS_PER_BLOCK`` shots. No string needs escaping."""
         cfg, d = self.config, self.config.d
         points = [p % d for p in cfg.evaluation_points]
         share = _template(4, _SHARE_KEYS)
@@ -555,10 +572,10 @@ class ProtocolTranscript:
         counts = [f'"{"-".join(row)}": {n}' for row, n in zip(texts, counts.tolist())]
         sep = ",\n      "  # between a row's digits, as ``_json_list(row, 2)`` writes it
         rows = np.array([f"[\n      {sep.join(r)}\n    ]" for r in texts], dtype=object)
+        sums = self.per_shot_sums
         sections = {
-            # An encoded string holds no raw newline, so re-indenting the
-            # config by its newlines is exact.
-            "config": [json.dumps(cfg.to_json(), indent=2).replace("\n", "\n  ")],
+            "config": _json_list([f'"{key}": {_json_value(value, 2)}'
+                                  for key, value in vars(cfg).items()], 1, "{}"),
             "shares": _json_list([f'"dealers": {"".join(_json_list(dealers, 2))}',
                                   f'"combined": {"".join(_json_list(combined, 2))}'],
                                  1, "{}"),
@@ -569,7 +586,10 @@ class ProtocolTranscript:
                 d, cfg.t, len(self.outcomes), self.seed,
                 "".join(_json_list(counts, 2, "{}")))],
             "outcomes": _json_blocks(rows, inverse, 1),
-            "per_shot_sums": _json_blocks(*_digit_table(self.per_shot_sums, d), 1),
+            # Every honest shot sums to the same value: one text, repeated.
+            "per_shot_sums": (_repeated_blocks(str(sums[0]), len(sums), 1)
+                              if len(sums) and (sums == sums[0]).all()
+                              else _json_blocks(*_digit_table(sums, d), 1)),
             "result": [str(self.result)],
             "result_binary": [f'"{self.result_binary}"'],
             "seed": [str(self.seed)],

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsms
-from qsms import cli
+from qsms import cli, protocol
 from qsms.adversary import AttackReport
 from qsms.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from qsms.protocol import ProtocolTranscript
@@ -519,3 +519,22 @@ def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QSMS_OUTPUT_DIR", str(tmp_path))
     assert main(["demo", "--shots", "32", "--output", "nested/demo.json"]) == EXIT_OK
     assert (tmp_path / "nested" / "demo.json").exists()
+
+
+def test_output_under_a_regular_file_exits_2(tmp_path, capsys):
+    parent = tmp_path / "file"
+    parent.write_text("")
+    argv = ["demo", "--shots", "16", "--output", str(parent / "demo.json")]
+    assert main(argv) == EXIT_USAGE
+    assert "Not a directory" in _single_error_line(capsys)
+
+
+def test_demo_output_never_calls_json_dumps(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    # The writer renders every section, the config included, from its own layout.
+    monkeypatch.setattr(protocol.json, "dumps", refuse)
+    out_file = tmp_path / "demo.json"
+    assert main(["demo", "--shots", "64", "--output", str(out_file)]) == EXIT_OK
+    assert json.loads(out_file.read_text())["per_shot_sums"] == [5] * 64

@@ -510,6 +510,17 @@ def _transcripts(draw):
 @given(transcript=_transcripts())
 # t=50: every row is distinct, and the table sorts on 50 key columns.
 @example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=60, t=50, d=101, shots=2000)))
+# Config values the writer renders itself: points written as given (one
+# negative, one >= d), a qualified set out of order, pinned polynomials and a
+# modulus of ten digits.
+@example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=6, t=3, d=11, shots=40,
+                                           evaluation_points=(-1, 12, 3, 4, 5, 6))))
+@example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=7, t=3, d=11, shots=40,
+                                           qualified=(5, 2, 7))))
+@example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=7, t=3, d=11, shots=40,
+                                           polynomials=((3, 1, 10), (5, 0, 2)))))
+@example(transcript=run_protocol(RunConfig(secrets=(3, 5), n=4, t=3, d=2**31 - 1,
+                                           shots=40, allow_out_of_range_prime=True)))
 def test_to_json_matches_stdlib_encoder(transcript):
     """The stdlib encoder is the oracle for the bulk writer's bytes."""
     text = transcript.to_json()
@@ -537,6 +548,17 @@ def test_write_json_to_a_file_matches_stdlib_encoder(shots, tapped, tmp_path):
     want = json.dumps(transcript.to_dict(), indent=2)
     _assert_same_text(path.read_text(), want)
     assert transcript.to_json() == want
+
+
+@pytest.mark.parametrize("shots", [2, _BLOCK, _BLOCK + 1])
+def test_per_shot_sums_unequal_in_the_last_shot_match_stdlib_encoder(shots):
+    """Equal sums are written as one repeated text; one that differs, in the
+    last block, must still be written."""
+    honest = run_protocol(RunConfig(secrets=(4, 9), n=7, t=3, d=11, shots=shots))
+    sums = honest.per_shot_sums.copy()
+    sums[-1] = (sums[-1] + 1) % 11
+    transcript = replace(honest, per_shot_sums=sums)
+    _assert_same_text(transcript.to_json(), json.dumps(transcript.to_dict(), indent=2))
 
 
 # (n, t, d): 2d - 2 = 252 fills uint8; d = 131 needs uint16; t * (d - 1) =
