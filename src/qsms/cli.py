@@ -29,15 +29,12 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
 
-DEMO_CONFIG = RunConfig(
-    secrets=(2, 3),
-    n=7,
-    t=3,
-    d=11,
-    shots=8192,
-    seed=42,
-    polynomials=((2, 1, 1), (3, 1, 1)),
-)
+# Each command's flags go on top of its base: ``--config`` for ``run``, these
+# mappings for ``demo`` and ``attack``. An attack's d, as a run's, defaults
+# to the smallest prime in (n, 2n].
+DEMO_CONFIG = {"secrets": (2, 3), "n": 7, "t": 3, "d": 11, "shots": 8192, "seed": 42,
+               "polynomials": ((2, 1, 1), (3, 1, 1))}
+ATTACK_CONFIG = {"secrets": (2, 3), "n": 7, "t": 3, "shots": 100_000, "seed": 0}
 DEMO_F_ROW = [4, 8, 3, 0, 10, 0, 3]
 DEMO_G_ROW = [5, 9, 4, 1, 0, 1, 4]
 DEMO_H_ROW = [9, 6, 7, 1, 10, 1, 7]
@@ -73,14 +70,11 @@ class _Tee(list):
             sink.write(text)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if args.config:
-        with open(args.config) as fh:
-            values = json.load(fh)
+def _config_from_args(args: argparse.Namespace, base) -> RunConfig:
+    """``base``, a mapping of config keys, with every config flag given on top."""
     keys = ("secrets", "n", "t", "d", "shots", "seed", "qualified", "polynomials")
     return RunConfig.from_mapping(
-        values, **{k: v for k in keys if (v := getattr(args, k)) is not None}
+        base, **{k: v for k in keys if (v := getattr(args, k, None)) is not None}
     )
 
 
@@ -121,15 +115,17 @@ def _emit_transcript(transcript, args) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    transcript = run_protocol(config)
+    base = {}
+    if args.config:
+        with open(args.config) as fh:
+            base = json.load(fh)
+    transcript = run_protocol(_config_from_args(args, base))
     _emit_transcript(transcript, args)
     return EXIT_OK
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    overrides = {k: v for k in ("shots", "seed") if (v := getattr(args, k)) is not None}
-    transcript = run_protocol(replace(DEMO_CONFIG, **overrides))
+    transcript = run_protocol(_config_from_args(args, DEMO_CONFIG))
     _emit_transcript(transcript, args)
 
     mismatches = []
@@ -153,12 +149,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    config = RunConfig(secrets=args.secrets, n=args.n, t=args.t, d=args.d,
-                       shots=args.shots, seed=args.seed)
+    config = _config_from_args(args, ATTACK_CONFIG)
     if args.kind == "intercept":
         report = intercept_and_measure(config, args.secret_pairs)
     elif args.kind == "intercept-resend":
-        report = intercept_resend(replace(config, seed=args.seed + 1))
+        # Seed + 1 was the attacked run's seed while an honest run took the
+        # seed itself (897dee6); keeping it keeps the reports' bytes.
+        report = intercept_resend(replace(config, seed=config.seed + 1))
     else:  # collusion
         cfg = config.resolved()
         if args.colluders is None:
@@ -211,19 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Threshold quantum secure multiparty summation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags ``run`` and ``attack`` share; none has a default, so an
+    # omitted one leaves the command's base config in force.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--secrets", type=_int_list)
+    for flag in ("--n", "--t", "--d", "--shots", "--seed"):
+        shared.add_argument(flag, type=int)
+    shared.add_argument("--output")
 
-    run_p = sub.add_parser("run", help="run a protocol instance")
+    run_p = sub.add_parser("run", parents=[shared], help="run a protocol instance")
     run_p.add_argument("--config", help="JSON config file")
-    run_p.add_argument("--secrets", type=_int_list)
-    run_p.add_argument("--n", type=int)
-    run_p.add_argument("--t", type=int)
-    run_p.add_argument("--d", type=int)
-    run_p.add_argument("--shots", type=int)
-    run_p.add_argument("--seed", type=int)
     run_p.add_argument("--qualified", type=_int_list)
     run_p.add_argument("--poly", type=_poly_list, dest="polynomials", metavar="POLY",
                        help="pinned coefficients, e.g. '2,1,1;3,1,1'")
-    run_p.add_argument("--output")
     run_p.add_argument("--format", choices=["json", "csv", "pretty"],
                        default="pretty")
     run_p.set_defaults(func=cmd_run)
@@ -234,19 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     demo_p.add_argument("--output")
     demo_p.set_defaults(func=cmd_demo)
 
-    attack_p = sub.add_parser("attack", help="run an adversary scenario")
+    attack_p = sub.add_parser("attack", parents=[shared],
+                              help="run an adversary scenario")
     attack_p.add_argument("--kind", required=True,
                           choices=["intercept", "intercept-resend", "collusion"])
-    attack_p.add_argument("--shots", type=int, default=100_000)
-    attack_p.add_argument("--secrets", type=_int_list, default=(2, 3))
     attack_p.add_argument("--secret-pairs", type=_poly_list, dest="secret_pairs",
                           default=((2, 3), (7, 9)), help="e.g. '2,3;7,9'")
     attack_p.add_argument("--colluders", type=_int_list)
-    attack_p.add_argument("--n", type=int, default=7)
-    attack_p.add_argument("--t", type=int, default=3)
-    attack_p.add_argument("--d", type=int, default=11)
-    attack_p.add_argument("--seed", type=int, default=0)
-    attack_p.add_argument("--output")
     attack_p.set_defaults(func=cmd_attack)
 
     verify_p = sub.add_parser(

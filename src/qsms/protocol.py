@@ -198,12 +198,6 @@ class PlayerState:
     shadow: Shadow | None = None
 
 
-def _player_share(config: ResolvedConfig, i: int, value: int) -> Share:
-    """Player ``i``'s (1..n) share of ``value`` at its evaluation point."""
-    return Share(FieldElement(config.evaluation_points[i - 1], config.d),
-                 FieldElement(value, config.d))
-
-
 @dataclass
 class PreparedRun:
     """Result of the classical phase (Steps 1-3), as integers; the players'
@@ -215,8 +209,10 @@ class PreparedRun:
     shadows: list[int]  # slot u's shadow, at index u - 1
 
     def combined_share(self, i: int) -> Share:
-        """Player ``i``'s (1..n) combined share."""
-        return _player_share(self.config, i, self.combined[i - 1])
+        """Player ``i``'s (1..n) combined share, at its evaluation point."""
+        d = self.config.d
+        return Share(FieldElement(self.config.evaluation_points[i - 1], d),
+                     FieldElement(self.combined[i - 1], d))
 
     @functools.cached_property
     def players(self) -> list[PlayerState]:
@@ -465,20 +461,23 @@ def _message_records(config: ResolvedConfig, dealer_rows: np.ndarray) -> list[tu
 
 
 @dataclass
-class ProtocolTranscript:
-    config: ResolvedConfig
-    # The classical phase's integers, as PreparedRun holds them.
-    dealer_rows: np.ndarray  # (dealers, n) shares
-    combined: list[int]  # player i's combined share value, at index i - 1
-    shadows: list[int]  # slot u's shadow, at index u - 1
+class ProtocolTranscript(PreparedRun):
+    """A run: its classical phase, then its quantum phase's outcomes and result."""
+
     outcomes: np.ndarray  # (shots, t) measured digits, in digit_dtype(d)
     # Not serialized: each shot's tap branch, and each branch's labels.
     tap_branch: np.ndarray  # (shots,) int64 index into tap_labels
     tap_labels: list[tuple]
     per_shot_sums: np.ndarray  # (shots,) in digit_dtype(d)
     result: int
-    result_binary: str
-    seed: int
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    @property
+    def result_binary(self) -> str:
+        return format(self.result, "b")
 
     @property
     def messages(self) -> list[dict]:
@@ -492,8 +491,7 @@ class ProtocolTranscript:
     @property
     def combined_shares(self) -> list[Share]:
         """The n combined shares as ``Share`` records, built on each read."""
-        return [_player_share(self.config, i, value)
-                for i, value in enumerate(self.combined, start=1)]
+        return [self.combined_share(i) for i in range(1, self.config.n + 1)]
 
     @functools.cached_property
     def _outcome_table(self) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
@@ -613,18 +611,6 @@ def run_protocol(
     sums = aggregate(phase.digits, cfg.d)
     if tap is None and (sums != sums[0]).any():
         raise AssertionError("honest run produced non-constant per-shot sums")
-    result = int(sums[0])
-
-    return ProtocolTranscript(
-        config=cfg,
-        dealer_rows=prepared.dealer_rows,
-        combined=prepared.combined,
-        shadows=prepared.shadows,
-        outcomes=phase.digits,
-        tap_branch=phase.branch,
-        tap_labels=phase.labels,
-        per_shot_sums=sums,
-        result=result,
-        result_binary=format(result, "b"),
-        seed=cfg.seed,
-    )
+    return ProtocolTranscript(**vars(prepared), outcomes=phase.digits,
+                              tap_branch=phase.branch, tap_labels=phase.labels,
+                              per_shot_sums=sums, result=int(sums[0]))

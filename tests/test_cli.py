@@ -324,14 +324,25 @@ def test_run_rejects_bad_config_file(config, message, tmp_path, capsys):
         (["--kind", "collusion", "--colluders", "1,99"], "distinct players in 1..7"),
         (["--kind", "collusion", "--colluders", "0,1"], "distinct players in 1..7"),
         (["--kind", "collusion", "--colluders", "2,2"], "distinct players in 1..7"),
-        (["--kind", "intercept", "--n", "99"], "outside"),
-        (["--kind", "intercept-resend", "--n", "99"], "outside"),
-        (["--kind", "collusion", "--colluders", "1", "--n", "99"], "outside"),
+        (["--kind", "intercept", "--n", "99", "--d", "11"], "outside"),
+        (["--kind", "intercept-resend", "--n", "99", "--d", "11"], "outside"),
+        (["--kind", "collusion", "--colluders", "1", "--n", "99", "--d", "11"], "outside"),
     ],
 )
 def test_attack_rejects_bad_inputs(argv, message, capsys):
     assert main(["attack", *argv, "--shots", "16"]) == EXIT_USAGE
     assert message in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("kind", [["intercept"], ["intercept-resend"],
+                                  ["collusion", "--colluders", "1,2"]])
+def test_attack_derives_d_as_run_does(kind, capsys):
+    # d defaults to the smallest prime in (n, 2n], 61 for n=60, as for ``run``.
+    argv = ["attack", "--kind", *kind, "--n", "60", "--t", "50", "--shots", "16"]
+    assert main(argv) == EXIT_OK
+    derived = capsys.readouterr().out
+    assert main([*argv, "--d", "61"]) == EXIT_OK
+    assert capsys.readouterr().out == derived
 
 
 @pytest.mark.parametrize(
@@ -479,7 +490,11 @@ def _cli_argv(draw) -> tuple[list[str], object]:
         argv = ["attack", "--kind", draw(st.sampled_from([*attack, "spy"]))]
         for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=2)):
             values[key] = draw(st.one_of(_FLAG_VALUES[key], _MALFORMED))
-        flags = {"shots"} | draw(st.sets(st.sampled_from(sorted(values))))
+        # n, t, d and the colluders fit together: all given, or none.
+        group = {"n", "t", "d", "colluders"}
+        flags = {"shots"} | draw(st.sets(st.sampled_from(sorted(values.keys() - group))))
+        if draw(st.booleans()):
+            flags |= group
         return argv + [_flag(k, values[k]) for k in sorted(flags)], None
     argv = ["run", "--format", draw(st.sampled_from(["json", "csv", "pretty", "yaml"]))]
     del values["colluders"], values["secret-pairs"]
