@@ -22,6 +22,10 @@ from .protocol import (ConfigError, ResolvedConfig, RunConfig, _sequence,
 from .shamir import Share
 from .zmod import is_prime, row_reduce
 
+# The slot both tap attacks tap: the initiator's first send. The legs are
+# symmetric, and every t >= 2 has this one.
+TAP_POSITION = 2
+
 
 class ThresholdReachedError(ValueError):
     pass
@@ -45,16 +49,10 @@ def guess_rate_bound(d: int, shots: int) -> float:
     return 4.0 * math.sqrt(p * (1.0 - p) / shots) * math.sqrt(d)
 
 
-@dataclass(frozen=True)
-class AttackScenario:
-    kind: str  # intercept | intercept-resend | collusion
-    target: str
-    shots: int
-
-
 @dataclass
 class AttackReport:
-    scenario: AttackScenario
+    kind: str  # intercept | intercept-resend | collusion
+    target: str
     shots: int
     distributions: dict[str, dict[str, float]]
     tv_distances: dict[str, float]
@@ -65,11 +63,7 @@ class AttackReport:
 
     def to_dict(self) -> dict:
         return {
-            "scenario": {
-                "kind": self.scenario.kind,
-                "target": self.scenario.target,
-                "shots": self.scenario.shots,
-            },
+            "scenario": {"kind": self.kind, "target": self.target, "shots": self.shots},
             "shots": self.shots,
             "distributions": self.distributions,
             "tv_distances": self.tv_distances,
@@ -89,7 +83,7 @@ def _counts_to_dist(counts: np.ndarray, shots: int) -> dict[str, float]:
     return {str(k): v / shots for k, v in enumerate(counts.tolist()) if v}
 
 
-def _tap_report(kind: str, tap_position: int, shots: int, counts: np.ndarray,
+def _tap_report(kind: str, shots: int, counts: np.ndarray,
                 distributions: dict, tv: dict[str, float], checked_tv: float,
                 **details) -> AttackReport:
     """The report of a tap attack whose attacker saw digit k ``counts[k]``
@@ -107,7 +101,8 @@ def _tap_report(kind: str, tap_position: int, shots: int, counts: np.ndarray,
         "guess_rate_margin": rate_bound - abs(guess_rate - 1.0 / d),
     }
     return AttackReport(
-        scenario=AttackScenario(kind, f"particle->P[{tap_position}]", shots),
+        kind=kind,
+        target=f"particle->P[{TAP_POSITION}]",
         shots=shots,
         distributions=distributions,
         tv_distances=tv,
@@ -118,9 +113,9 @@ def _tap_report(kind: str, tap_position: int, shots: int, counts: np.ndarray,
     )
 
 
-def intercept_and_measure(config: RunConfig, secret_pairs: Sequence[tuple[int, ...]],
-                          tap_position: int = 2) -> AttackReport:
-    """Tap the initiator's send to one qualified player and measure it.
+def intercept_and_measure(config: RunConfig,
+                          secret_pairs: Sequence[tuple[int, ...]]) -> AttackReport:
+    """Tap the initiator's send to slot 2 and measure it.
 
     For each secret tuple, ``config`` with those secrets runs its classical
     phase, and the protocol's quantum phase sends its legs through a tap
@@ -133,14 +128,12 @@ def intercept_and_measure(config: RunConfig, secret_pairs: Sequence[tuple[int, .
     if len(secret_pairs) < 2:
         raise ValueError("need at least two secret tuples to compare")
     configs = [replace(config, secrets=pair).resolved() for pair in secret_pairs]
-    d, t, shots = configs[0].d, configs[0].t, configs[0].shots
-    if not 2 <= tap_position <= t:
-        raise ValueError(f"tap position must be in 2..{t}")
+    d, shots = configs[0].d, configs[0].shots
     in_flight = []
 
     def tap(state, position):
         # The attacker reads the leg's marginal and lets the state pass.
-        if position == tap_position:
+        if position == TAP_POSITION:
             in_flight.append(affine.marginal_distribution(state, position))
         return [(1.0, None, state)]
 
@@ -161,34 +154,29 @@ def intercept_and_measure(config: RunConfig, secret_pairs: Sequence[tuple[int, .
         tv[f"{a} vs {b}"] = tv_distance(distributions[a], distributions[b])
     for label in labels:
         tv[f"{label} vs uniform"] = tv_distance(distributions[label], uniform)
-    return _tap_report("intercept", tap_position, shots, pooled, distributions,
-                       tv, max(tv.values()))
+    return _tap_report("intercept", shots, pooled, distributions, tv, max(tv.values()))
 
 
-def intercept_resend(config: RunConfig, tap_position: int = 2) -> AttackReport:
-    """Measure an in-flight leg and forward the collapsed particle.
+def intercept_resend(config: RunConfig | ResolvedConfig) -> AttackReport:
+    """Measure the initiator's send to slot 2 and forward the collapsed particle.
 
     Reports the attacker's outcome distribution (uniform, success 1/d)
     and the downstream damage: the attacked run's aggregate spreads over
     Z_d while every honest shot sums to the secret total.
     """
-    cfg = config.resolved()
-    if not 2 <= tap_position <= cfg.t:
-        raise ValueError(f"tap position must be in 2..{cfg.t}")
-
     def tap(state, position):
         # The attacker's digit labels each branch; the collapsed state is
         # the "clone" particle sent onward.
-        if position != tap_position:
+        if position != TAP_POSITION:
             return [(1.0, None, state)]
         return affine.collapse_branches(state, position)
 
-    attacked = run_protocol(cfg, tap=tap)
-    d, shots = cfg.d, cfg.shots
+    attacked = run_protocol(config, tap=tap)
+    d, shots = attacked.config.d, attacked.config.shots
     # Every honest shot sums to the shadows' sum, the secret total.
     honest_result = sum(attacked.shadows) % d
     # Each branch's label at the tap is the attacker's digit.
-    digit = [labels[tap_position - 2] for labels in attacked.tap_labels]
+    digit = [labels[TAP_POSITION - 2] for labels in attacked.tap_labels]
     attacker_counts = np.zeros(d, dtype=np.int64)
     np.add.at(attacker_counts, digit,
               np.bincount(attacked.tap_branch, minlength=len(digit)))
@@ -203,7 +191,7 @@ def intercept_resend(config: RunConfig, tap_position: int = 2) -> AttackReport:
     # The attacked aggregate is meant to differ from the honest one, so only
     # the attacker's view is held to the uniformity bound.
     return _tap_report(
-        "intercept-resend", tap_position, shots, attacker_counts,
+        "intercept-resend", shots, attacker_counts,
         {"attacker": attacker_dist, "attacked_aggregate": aggregate_dist},
         tv, tv["attacker vs uniform"], honest_result=honest_result,
     )
@@ -261,9 +249,8 @@ def collusion_inference(
     dist = {str(s): c / total for s, c in candidates.items()}
     passed = candidate_count == d
     return AttackReport(
-        scenario=AttackScenario(
-            "collusion", f"{len(colluder_shares)} colluders", 0
-        ),
+        kind="collusion",
+        target=f"{len(colluder_shares)} colluders",
         shots=0,
         distributions={"candidate_secrets": dist},
         tv_distances={},

@@ -154,8 +154,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
         report = intercept_and_measure(config, args.secret_pairs)
     elif args.kind == "intercept-resend":
         # Seed + 1 was the attacked run's seed while an honest run took the
-        # seed itself (897dee6); keeping it keeps the reports' bytes.
-        report = intercept_resend(replace(config, seed=config.seed + 1))
+        # seed itself (897dee6); keeping it keeps the reports' bytes. The
+        # offset goes on the checked seed, so a negative one is rejected.
+        cfg = config.resolved()
+        report = intercept_resend(replace(cfg, seed=cfg.seed + 1))
     else:  # collusion
         cfg = config.resolved()
         if args.colluders is None:

@@ -79,17 +79,11 @@ class FieldElement:
         self._require_same_modulus(other)
         return FieldElement(self.value * other.value, self.modulus)
 
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
-
     def inv(self) -> "FieldElement":
         """Multiplicative inverse; pow(v, -1, d) runs extended Euclid."""
         if self.value == 0:
             raise ZeroDivisionError("no inverse of zero")
         return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def lagrange_coefficient(u: int, points: list[int], d: int) -> FieldElement:

@@ -187,7 +187,6 @@ def test_criterion_8_attack_suite():
     resend = intercept_resend(
         RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=2048, seed=9,
                   polynomials=((2, 1, 1), (3, 1, 1))),
-        tap_position=2,
     )
     collusion = collusion_inference(
         run_protocol(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=1, seed=8,

@@ -76,16 +76,6 @@ def test_intercept_requires_two_pairs():
         intercept_and_measure(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=10), [(2, 3)])
 
 
-@pytest.mark.parametrize("tap_position", [1, 4])
-def test_tap_attacks_reject_tap_position_outside_legs(tap_position):
-    # At t=3 the initiator sends legs 2 and 3; there is no other leg to tap.
-    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16)
-    with pytest.raises(ValueError, match=r"^tap position must be in 2\.\.3$"):
-        intercept_and_measure(cfg, [(2, 3), (7, 9)], tap_position=tap_position)
-    with pytest.raises(ValueError, match=r"^tap position must be in 2\.\.3$"):
-        intercept_resend(cfg, tap_position=tap_position)
-
-
 def exact_attacked_aggregate(d, t, shadows):
     """Oracle: enumerate the exact aggregate distribution when one GHZ leg
     is measured before the transform. Collapse makes the state a product
@@ -141,7 +131,7 @@ def test_tap_collapse_matches_exact_oracle_d2():
 
 def test_intercept_resend_disturbs_aggregate():
     cfg = RunConfig(secrets=(1, 0), n=2, t=2, d=3, shots=4000, seed=4)
-    report = intercept_resend(cfg, tap_position=2)
+    report = intercept_resend(cfg)
     assert report.passed
     # Downstream damage: attacked aggregate spreads toward uniform while
     # the honest run is constant.
@@ -152,7 +142,7 @@ def test_intercept_resend_disturbs_aggregate():
 def test_intercept_resend_attacker_sees_uniform_d11():
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=2048, seed=6,
                     polynomials=((2, 1, 1), (3, 1, 1)))
-    report = intercept_resend(cfg, tap_position=2)
+    report = intercept_resend(cfg)
     assert report.passed
     assert report.details["honest_result"] == 5
     assert abs(report.guess_rate - 1 / 11) < 0.05
@@ -172,7 +162,7 @@ def test_intercept_resend_runs_one_fourier_layer_and_one_draw_per_run(monkeypatc
 
         monkeypatch.setattr(affine, name, counted)
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=4096, seed=6)
-    assert intercept_resend(cfg, tap_position=2).passed
+    assert intercept_resend(cfg).passed
     assert calls == {"fourier_shift": 1, "sample": 1}
 
 
@@ -181,7 +171,7 @@ def _margin_reports():
     intercept = intercept_and_measure(
         RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=20_000, seed=0), [(2, 3), (7, 9)])
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=2048, seed=6)
-    resend = intercept_resend(cfg, tap_position=2)
+    resend = intercept_resend(cfg)
     return [(intercept, max(intercept.tv_distances.values())),
             (resend, resend.tv_distances["attacker vs uniform"])]
 

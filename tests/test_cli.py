@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsms
-from qsms import cli, protocol
+from qsms import affine, cli, protocol
 from qsms.adversary import AttackReport
 from qsms.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from qsms.protocol import ProtocolTranscript
@@ -327,11 +327,22 @@ def test_run_rejects_bad_config_file(config, message, tmp_path, capsys):
         (["--kind", "intercept", "--n", "99", "--d", "11"], "outside"),
         (["--kind", "intercept-resend", "--n", "99", "--d", "11"], "outside"),
         (["--kind", "collusion", "--colluders", "1", "--n", "99", "--d", "11"], "outside"),
+        # The seed is checked before intercept-resend offsets it by one.
+        (["--kind", "intercept-resend", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_attack_rejects_bad_inputs(argv, message, capsys):
     assert main(["attack", *argv, "--shots", "16"]) == EXIT_USAGE
     assert message in _single_error_line(capsys)
+
+
+def test_intercept_ignores_the_base_secrets(capsys):
+    # Intercept runs only the --secret-pairs tuples; the base secrets (2, 3)
+    # are out of range at d=3 but never read, so they raise nothing.
+    argv = ["attack", "--kind", "intercept", "--n", "2", "--t", "2", "--d", "3",
+            "--secret-pairs", "1,2;0,1", "--shots", "16"]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["scenario"]["kind"] == "intercept"
 
 
 @pytest.mark.parametrize("kind", [["intercept"], ["intercept-resend"],
@@ -513,16 +524,28 @@ def _cli_argv(draw) -> tuple[list[str], object]:
     return argv + [_flag(k, v) for k, v in sorted(flags.items())], config
 
 
+# Guards lowered below most fuzzed sizes (shots x t up to 3840, dealers x n
+# up to 360, up to 240 tap branches), so runs and attacks also hit exit 3.
+_GUARDS = st.fixed_dictionaries({}, optional={
+    (protocol, "OUTCOME_GUARD"): st.integers(0, 128),
+    (protocol, "MESSAGE_GUARD"): st.integers(0, 32),
+    (affine, "BRANCH_GUARD"): st.integers(0, 16),
+})
+
+
 @settings(max_examples=150, deadline=None)
-@given(case=_cli_argv())
-def test_cli_fuzz_exits_cleanly(case, tmp_path_factory):
+@given(case=_cli_argv(), guards=st.one_of(st.just({}), _GUARDS))
+def test_cli_fuzz_exits_cleanly(case, guards, tmp_path_factory):
     argv, config = case
     if config is not None:
         path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
         path.write_text(json.dumps(config))
         argv = [*argv, "--config", str(path)]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        for (module, name), value in guards.items():
+            patch.setattr(module, name, value)
         code = main(argv)
     assert code in {EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_VERIFY}
     assert "Traceback" not in err.getvalue()
