@@ -17,14 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from . import affine
-from .protocol import (ConfigError, ResolvedConfig, RunConfig, _sequence,
+from .protocol import (TAP_POSITION, ConfigError, ResolvedConfig, RunConfig, _sequence,
                        post_transform_branches, prepare_run, run_generators, run_protocol)
 from .shamir import Share
 from .zmod import is_prime, row_reduce
-
-# The slot both tap attacks tap: the initiator's first send. The legs are
-# symmetric, and every t >= 2 has this one.
-TAP_POSITION = 2
 
 
 class ThresholdReachedError(ValueError):
@@ -118,8 +114,8 @@ def intercept_and_measure(config: RunConfig,
     """Tap the initiator's send to slot 2 and measure it.
 
     For each secret tuple, ``config`` with those secrets runs its classical
-    phase, and the protocol's quantum phase sends its legs through a tap
-    that reads the tapped leg's marginal in flight; that marginal is
+    phase, and the protocol's quantum phase sends the leg to slot 2 through
+    a tap that reads its marginal in flight; that marginal is
     sampled ``shots`` times. The report compares the per-secret
     distributions (they should be statistically indistinguishable and
     uniform) and the attacker's best-guess success rate against the 1/d
@@ -131,10 +127,9 @@ def intercept_and_measure(config: RunConfig,
     d, shots = configs[0].d, configs[0].shots
     in_flight = []
 
-    def tap(state, position):
+    def tap(state):
         # The attacker reads the leg's marginal and lets the state pass.
-        if position == TAP_POSITION:
-            in_flight.append(affine.marginal_distribution(state, position))
+        in_flight.append(affine.marginal_distribution(state, TAP_POSITION))
         return [(1.0, None, state)]
 
     rng = np.random.default_rng(configs[0].seed)
@@ -164,22 +159,16 @@ def intercept_resend(config: RunConfig | ResolvedConfig) -> AttackReport:
     and the downstream damage: the attacked run's aggregate spreads over
     Z_d while every honest shot sums to the secret total.
     """
-    def tap(state, position):
-        # The attacker's digit labels each branch; the collapsed state is
-        # the "clone" particle sent onward.
-        if position != TAP_POSITION:
-            return [(1.0, None, state)]
-        return affine.collapse_branches(state, position)
-
-    attacked = run_protocol(config, tap=tap)
+    # The attacker's digit labels each branch; the collapsed state is the
+    # "clone" particle sent onward.
+    attacked = run_protocol(
+        config, tap=lambda state: affine.collapse_branches(state, TAP_POSITION))
     d, shots = attacked.config.d, attacked.config.shots
     # Every honest shot sums to the shadows' sum, the secret total.
     honest_result = sum(attacked.shadows) % d
-    # Each branch's label at the tap is the attacker's digit.
-    digit = [labels[TAP_POSITION - 2] for labels in attacked.tap_labels]
     attacker_counts = np.zeros(d, dtype=np.int64)
-    np.add.at(attacker_counts, digit,
-              np.bincount(attacked.tap_branch, minlength=len(digit)))
+    np.add.at(attacker_counts, attacked.tap_labels,
+              np.bincount(attacked.tap_branch, minlength=len(attacked.tap_labels)))
     attacker_dist = _counts_to_dist(attacker_counts, shots)
     aggregate_dist = _counts_to_dist(np.bincount(attacked.per_shot_sums), shots)
     uniform = {str(c): 1.0 / d for c in range(d)}

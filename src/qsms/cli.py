@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import os
+import stat
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,16 +51,24 @@ def _poly_list(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_list(part) for part in text.split(";") if part.strip() != "")
 
 
+@contextlib.contextmanager
 def _open_output(name: str):
-    """``name``, under ``QSMS_OUTPUT_DIR`` if relative, opened to write text."""
+    """``name``, under ``QSMS_OUTPUT_DIR`` if relative, open to write text in the block."""
     path = Path(name)
     if not path.is_absolute():
         path = Path(os.environ.get("QSMS_OUTPUT_DIR", ".")) / path
     try:
-        return open(path, "w", buffering=2**16)  # 64 KiB: blocks of shots in few writes
+        fh = open(path, "w", buffering=2**16)  # 64 KiB: blocks of shots in few writes
     except FileNotFoundError:  # the directory is made only when missing
         path.parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", buffering=2**16)
+        fh = open(path, "w", buffering=2**16)
+    try:
+        with fh:
+            yield fh
+    except BaseException:  # closed; a partial regular file goes, a link or device stays
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            path.unlink()
+        raise
 
 
 class _Tee(list):

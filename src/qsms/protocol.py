@@ -27,11 +27,13 @@ from .shamir import Share, Shadow
 from .shamir import add_shares, compute_shadow, generate_shares  # noqa: F401
 from .zmod import FieldElement, is_prime, lagrange_weights, residues, smallest_valid_prime
 
-# Middleware hook on the initiator's quantum sends: (state, position) ->
-# [(probability, label, state), ...], the weighted branches the send turns
-# into, their probabilities summing to 1. An identity tap returns
-# [(1.0, None, state)]. The honest path installs none.
-QuantumTap = Callable[[AffineState, int], list[tuple[float, Hashable, AffineState]]]
+# The send a tap sees: the initiator's particle to slot 2. The GHZ legs are
+# symmetric, and every t >= 2 has this one.
+TAP_POSITION = 2
+# Middleware hook on that send: state -> [(probability, label, state), ...],
+# the weighted branches the send turns into, their probabilities summing to 1.
+# An identity tap returns [(1.0, None, state)]. The honest path installs none.
+QuantumTap = Callable[[AffineState], list[tuple[float, Hashable, AffineState]]]
 
 # Most outcome digits (shots x t) a run may hold: 16 to 64 MiB in
 # ``digit_dtype(d)``, before the transcript writes them as text in blocks.
@@ -280,38 +282,31 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
 
 def post_transform_branches(
     shadows: Sequence[int], d: int, tap: QuantumTap | None = None
-) -> list[tuple[float, tuple, AffineState]]:
+) -> list[tuple[float, Hashable, AffineState]]:
     """Steps 4-5 on affine states.
 
-    The initiator prepares the GHZ state and sends legs 2..t through
-    ``tap``; then the player in slot u applies the QFT and X^{shadow_u}.
-    Returns (probability, labels, post-transform state) per branch, with
-    one label per tapped send. Without a tap there is one branch of
-    weight 1.
+    The initiator prepares the GHZ state and, when t >= 2, sends the leg to
+    ``TAP_POSITION`` through ``tap``; then the player in slot u applies the
+    QFT and X^{shadow_u}. Returns (probability, label, post-transform state)
+    per branch, the label the tap's own. Without a tap there is one branch
+    of weight 1 and label None.
 
     The post-transform state depends on the basis alone (the offset only
     sets phases), so consecutive branches whose bases are equal share one
     ``fourier_shift`` result, the same object: the d children of a
     collapse share one.
     """
-    t = len(shadows)
-    branches = [(1.0, (), affine.prepare_ghz(t, d))]
-    if tap is not None:
-        for position in range(2, t + 1):
-            tapped = []
-            for weight, labels, state in branches:
-                tapped.extend((weight * p, labels + (label,), out)
-                              for p, label, out in tap(state, position))
-                # Checked as the send multiplies the branches, before the
-                # next send multiplies them again.
-                affine.check_branches(len(tapped))
-            branches = tapped
+    ghz = affine.prepare_ghz(len(shadows), d)
+    branches = [(1.0, None, ghz)]
+    if tap is not None and len(shadows) >= TAP_POSITION:
+        branches = tap(ghz)
+        affine.check_branches(len(branches))
     out, basis, shifted = [], None, None
-    for weight, labels, state in branches:
+    for weight, label, state in branches:
         if shifted is None or not (state.basis is basis
                                    or np.array_equal(state.basis, basis)):
             basis, shifted = state.basis, affine.fourier_shift(state, shadows)
-        out.append((weight, labels, shifted))
+        out.append((weight, label, shifted))
     return out
 
 
@@ -321,7 +316,7 @@ class PhaseOutcomes:
 
     digits: np.ndarray  # (shots, t) in digit_dtype(d), qudit 1 first
     branch: np.ndarray  # (shots,) int64 index into labels
-    labels: list[tuple]  # per tap branch, the labels of its sends
+    labels: list[Hashable]  # per tap branch, the tap's label (None with no tap)
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -339,8 +334,8 @@ def run_quantum_phase(
     in the same state in one call.
 
     Shots are drawn grouped by branch, in shot order within each branch.
-    ``tap`` intercepts the initiator's particle sends (positions 2..t)
-    before any QFT is applied; it is how adversaries are wired in.
+    ``tap`` intercepts the initiator's send to ``TAP_POSITION`` before any
+    QFT is applied; it is how adversaries are wired in.
     """
     branches = post_transform_branches(shadows, d, tap)
     weights = np.array([weight for weight, _, _ in branches])
@@ -352,7 +347,7 @@ def run_quantum_phase(
     # ``rng.choice(len(weights), shots, p=weights / total)``'s own two steps,
     # the same values from the same draws, without its per-call checks.
     uniform = rng.random(shots)
-    labels = [branch_labels for _, branch_labels, _ in branches]
+    labels = [label for _, label, _ in branches]
     if len(branches) == 1:
         branch = np.zeros(shots, dtype=np.int64)
         return PhaseOutcomes(affine.sample(branches[0][2], shots, rng), branch, labels)
@@ -465,9 +460,9 @@ class ProtocolTranscript(PreparedRun):
     """A run: its classical phase, then its quantum phase's outcomes and result."""
 
     outcomes: np.ndarray  # (shots, t) measured digits, in digit_dtype(d)
-    # Not serialized: each shot's tap branch, and each branch's labels.
+    # Not serialized: each shot's tap branch, and each branch's label.
     tap_branch: np.ndarray  # (shots,) int64 index into tap_labels
-    tap_labels: list[tuple]
+    tap_labels: list[Hashable]
     per_shot_sums: np.ndarray  # (shots,) in digit_dtype(d)
     result: int
 

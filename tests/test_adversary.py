@@ -100,8 +100,9 @@ def test_collapse_branches_aggregate_equals_exact_oracle(d):
     # Exact, no sampling: weight each branch's post-transform distribution
     # and fold it onto the aggregate digit sum.
     shadows = (1, d - 1)
-    branches = post_transform_branches(shadows, d, tap=collapse_branches)
-    assert [labels for _, labels, _ in branches] == [(c,) for c in range(d)]
+    branches = post_transform_branches(shadows, d,
+                                       tap=lambda state: collapse_branches(state, 2))
+    assert [label for _, label, _ in branches] == list(range(d))
     weights = np.array([weight for weight, _, _ in branches])
     np.testing.assert_allclose(weights, np.full(d, 1 / d), atol=1e-12)
     joint = sum(w * support_mask(s) / support_mask(s).sum() for w, _, s in branches)
@@ -122,7 +123,8 @@ def test_tap_collapse_matches_exact_oracle_d2():
     rng = np.random.default_rng(3)
 
     shots = 4000
-    outcomes = run_quantum_phase([1, 1], 2, shots, rng, tap=collapse_branches)
+    outcomes = run_quantum_phase([1, 1], 2, shots, rng,
+                                 tap=lambda state: collapse_branches(state, 2))
     counts = Counter(sum(o) % 2 for o in outcomes.digits.tolist())
     empirical = {str(k): v / shots for k, v in counts.items()}
     oracle = {str(k): v for k, v in exact_attacked_aggregate(2, 2, (1, 1)).items()}
@@ -199,7 +201,7 @@ def test_negative_margin_fails_the_report(bound, monkeypatch):
 def test_no_tap_control_identical_to_honest():
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16, seed=7)
     honest = run_protocol(cfg)
-    controlled = run_protocol(cfg, tap=lambda state, pos: [(1.0, None, state)])
+    controlled = run_protocol(cfg, tap=lambda state: [(1.0, None, state)])
     assert controlled.to_json() == honest.to_json()
 
 

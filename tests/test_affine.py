@@ -9,24 +9,34 @@ from qsms.protocol import post_transform_branches
 SHAPES = [(d, t) for d in (2, 3, 5, 7, 11, 13) for t in range(1, 13) if d**t <= 4096]
 
 
-def dense_branches(shadows, d, collapsed):
-    """The quantum phase on the dense engine, collapsing the legs in
-    ``collapsed``; also returns every in-flight marginal, in the order the
-    protocol's tap sees them."""
+def dense_branches(shadows, d, collapse):
+    """The quantum phase on the dense engine, collapsing the send to slot 2
+    if ``collapse``; also returns that send's in-flight marginal, which the
+    protocol's tap sees (none when t = 1, which has no send)."""
     t = len(shadows)
-    branches, marginals = [(1.0, (), qudit.prepare_ghz(t, d))], []
-    for position in range(2, t + 1):
-        tapped = []
-        for weight, labels, state in branches:
-            marginals.append(qudit.marginal_distribution(state, position))
-            outs = (qudit.collapse_branches(state, position) if position in collapsed
-                    else [(1.0, None, state)])
-            tapped += [(weight * p, labels + (label,), out) for p, label, out in outs]
-        branches = tapped
+    branches, marginals = [(1.0, None, qudit.prepare_ghz(t, d))], []
+    if t >= 2:
+        marginals.append(qudit.marginal_distribution(branches[0][2], 2))
+        if collapse:
+            branches = qudit.collapse_branches(branches[0][2], 2)
     for position, shadow in enumerate(shadows, start=1):
         branches = [(w, lb, qudit.apply_shift(qudit.apply_qft(s, position), position, shadow))
                     for w, lb, s in branches]
     return branches, marginals
+
+
+def _assert_same_branches(branches, oracle):
+    """Affine and dense branches agree: labels, weights, and each state's
+    computational-basis distribution, uniform on the affine support."""
+    assert [lb for _, lb, _ in branches] == [lb for _, lb, _ in oracle]
+    np.testing.assert_allclose([w for w, _, _ in branches], [w for w, _, _ in oracle],
+                               rtol=0, atol=1e-12)
+    for (_, _, state), (_, _, dense) in zip(branches, oracle):
+        support = affine.support_mask(state)
+        probabilities = dense.probabilities()
+        assert np.array_equal(support, probabilities > 1e-12)
+        np.testing.assert_allclose(probabilities, support / support.sum(),
+                                   rtol=0, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -34,29 +44,58 @@ def dense_branches(shadows, d, collapsed):
 def test_affine_engine_matches_dense_engine(data):
     d, t = data.draw(st.sampled_from(SHAPES))
     shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
-    collapsed = data.draw(st.sets(st.integers(2, max(t, 2)))) if t > 1 else set()
+    collapse = data.draw(st.booleans())
     marginals = []
 
-    def tap(state, position):
-        marginals.append(affine.marginal_distribution(state, position))
-        if position in collapsed:
-            return affine.collapse_branches(state, position)
-        return [(1.0, None, state)]
+    def tap(state):
+        marginals.append(affine.marginal_distribution(state, 2))
+        return affine.collapse_branches(state, 2) if collapse else [(1.0, None, state)]
 
     branches = post_transform_branches(shadows, d, tap)
-    oracle, oracle_marginals = dense_branches(shadows, d, collapsed)
-    assert [lb for _, lb, _ in branches] == [lb for _, lb, _ in oracle]
-    np.testing.assert_allclose([w for w, _, _ in branches], [w for w, _, _ in oracle],
-                               rtol=0, atol=1e-12)
+    oracle, oracle_marginals = dense_branches(shadows, d, collapse)
+    _assert_same_branches(branches, oracle)
     assert len(marginals) == len(oracle_marginals)
     for got, want in zip(marginals, oracle_marginals):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    for (_, _, state), (_, _, dense) in zip(branches, oracle):
-        support = affine.support_mask(state)
-        probabilities = dense.probabilities()
-        assert np.array_equal(support, probabilities > 1e-12)
-        np.testing.assert_allclose(probabilities, support / support.sum(),
-                                   rtol=0, atol=1e-12)
+
+
+def _dense_collapse(state, position):
+    """``qudit.collapse_branches`` less the digits that only rounding after a
+    Fourier layer leaves with a nonzero probability."""
+    return [branch for branch in qudit.collapse_branches(state, position)
+            if branch[0] > 1e-12]
+
+
+def _collapse_each(branches, collapse, position):
+    """Every branch collapsed at ``position``, each label extended by the digit."""
+    return [(w * p, labels + (label,), out) for w, labels, state in branches
+            for p, label, out in collapse(state, position)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_collapses_in_sequence_match_dense_engine(data):
+    """``collapse_branches`` and ``marginal_distribution`` at every position,
+    one collapse after another, from the GHZ state or from its post-transform
+    state, against their dense oracles."""
+    d, t = data.draw(st.sampled_from(SHAPES))
+    positions = data.draw(st.lists(st.integers(1, t), max_size=3))
+    branches = [(1.0, (), affine.prepare_ghz(t, d))]
+    oracle = [(1.0, (), qudit.prepare_ghz(t, d))]
+    if data.draw(st.booleans()):
+        shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
+        branches = [(w, (), s) for w, _, s in post_transform_branches(shadows, d)]
+        oracle = [(w, (), s) for w, _, s in dense_branches(shadows, d, collapse=False)[0]]
+    for position in [*positions, None]:
+        for (_, _, state), (_, _, dense) in zip(branches, oracle):
+            for at in range(1, t + 1):
+                np.testing.assert_allclose(affine.marginal_distribution(state, at),
+                                           qudit.marginal_distribution(dense, at),
+                                           rtol=0, atol=1e-12)
+        if position is not None:
+            branches = _collapse_each(branches, affine.collapse_branches, position)
+            oracle = _collapse_each(oracle, _dense_collapse, position)
+            _assert_same_branches(branches, oracle)
 
 
 @pytest.mark.parametrize("d,t", [(2, 1), (2, 5), (3, 4), (11, 3)])

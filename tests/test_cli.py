@@ -576,3 +576,42 @@ def test_demo_output_never_calls_json_dumps(tmp_path, monkeypatch, capsys):
     out_file = tmp_path / "demo.json"
     assert main(["demo", "--shots", "64", "--output", str(out_file)]) == EXIT_OK
     assert json.loads(out_file.read_text())["per_shot_sums"] == [5] * 64
+
+
+class _ClosedAfter(io.StringIO):
+    """A stdout whose reader goes away after ``writes`` writes."""
+
+    def __init__(self, writes: int):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text: str) -> int:
+        if self.writes == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes -= 1
+        return super().write(text)
+
+
+# ``qsms run ... --format json --output F | head -c 100`` at the t=50 target size.
+_PIPED_RUN = ["run", "--secrets", "3,5", "--n", "60", "--t", "50", "--d", "101",
+              "--shots", "2000", "--format", "json"]
+
+
+@pytest.mark.parametrize("writes", [0, 3, 30])
+def test_failed_write_leaves_no_partial_output(writes, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedAfter(writes))
+    out_file = tmp_path / "out.json"
+    assert main([*_PIPED_RUN, "--output", str(out_file)]) == EXIT_USAGE
+    assert "Broken pipe" in _single_error_line(capsys)
+    assert not out_file.exists()
+
+
+def test_failed_write_leaves_a_symlink_in_place(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("")
+    link = tmp_path / "out.json"
+    link.symlink_to(target)
+    monkeypatch.setattr(sys, "stdout", _ClosedAfter(3))
+    assert main([*_PIPED_RUN, "--output", str(link)]) == EXIT_USAGE
+    assert "Broken pipe" in _single_error_line(capsys)
+    assert link.is_symlink() and link.resolve() == target.resolve()

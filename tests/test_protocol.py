@@ -181,11 +181,8 @@ def test_run_path_stays_off_the_dense_engine(monkeypatch):
             monkeypatch.setattr(qudit, name, refuse)
     assert run_protocol(PAPER_CONFIG).result == 5
 
-    def tap(state, position):
-        return collapse_branches(state, position) if position == 2 else [(1.0, None, state)]
-
-    tapped = run_protocol(PAPER_CONFIG, tap=tap)
-    assert sorted(set(tapped.tap_labels)) == [(c, None) for c in range(11)]
+    tapped = run_protocol(PAPER_CONFIG, tap=lambda state: collapse_branches(state, 2))
+    assert sorted(set(tapped.tap_labels)) == list(range(11))
     for argv in (["--kind", "intercept"], ["--kind", "intercept-resend"],
                  ["--kind", "collusion", "--colluders", "1,2"]):
         assert cli.main(["attack", "--shots", "2000", *argv]) == cli.EXIT_OK
@@ -193,15 +190,13 @@ def test_run_path_stays_off_the_dense_engine(monkeypatch):
 
 def test_tap_probabilities_must_sum_to_one():
     with pytest.raises(ValueError, match=r"^tap branch probabilities sum to 0.25, not 1$"):
-        run_protocol(PAPER_CONFIG, tap=lambda state, position: [(0.5, None, state)])
+        run_protocol(PAPER_CONFIG, tap=lambda state: [(0.25, None, state)])
 
 
 def _weighted_tap(weights):
     """A tap that splits the send to slot 2 into one branch per weight, every
     branch passing the state on unchanged."""
-    def tap(state, position):
-        if position != 2:
-            return [(1.0, None, state)]
+    def tap(state):
         return [(w, i, state) for i, w in enumerate(weights)]
     return tap
 
@@ -266,10 +261,10 @@ SMALL_SHAPES = [(d, t) for d in (2, 3, 5, 7, 11, 13) for t in range(1, 13)
 def test_sampled_distribution_matches_analytic_state(data):
     d, t = data.draw(st.sampled_from(SMALL_SHAPES))
     shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
-    [(weight, labels, state)] = post_transform_branches(shadows, d)
+    [(weight, label, state)] = post_transform_branches(shadows, d)
     support = support_mask(state)
     analytic = np.abs(analytic_post_transform_state(t, d, shadows).amplitudes) ** 2
-    assert weight == 1.0 and labels == ()
+    assert weight == 1.0 and label is None
     np.testing.assert_allclose(support / support.sum(), analytic, rtol=0, atol=1e-9)
     digits = run_quantum_phase(shadows, d, 64, np.random.default_rng(d * t)).digits
     assert digits.shape == (64, t)
@@ -277,30 +272,65 @@ def test_sampled_distribution_matches_analytic_state(data):
 
 
 def test_tap_branches_count_against_guard(monkeypatch):
-    # 65 branches per send: the first send leaves 65, and the second is
-    # stopped as its branches pass 4096, before it multiplies all 65.
+    # The tap is caller code: the branches it returns are counted.
     monkeypatch.setattr(affine, "BRANCH_GUARD", 4096)
     calls = []
 
-    def tap(state, position):
-        calls.append(position)
-        return [(1 / 65, k, state) for k in range(65)]
+    def tap(state):
+        calls.append(state)
+        return [(1 / 4097, k, state) for k in range(4097)]
 
-    with pytest.raises(DimensionGuardError, match="4160 tap branches exceed guard 4096"):
+    with pytest.raises(DimensionGuardError, match="^4097 tap branches exceed guard 4096$"):
         run_quantum_phase([0] * 3, 2, 8, np.random.default_rng(0), tap=tap)
-    assert calls == [2] + [3] * 64
+    assert len(calls) == 1
+
+
+def test_collapse_beyond_guard_is_refused_before_its_branches_are_built(monkeypatch):
+    monkeypatch.setattr(affine, "BRANCH_GUARD", 10)
+    built = []
+
+    class Recorded(affine.AffineState):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(affine, "AffineState", Recorded)
+    with pytest.raises(DimensionGuardError, match="^11 tap branches exceed guard 10$"):
+        post_transform_branches([0] * 3, 11, tap=lambda state: collapse_branches(state, 2))
+    assert len(built) == 1  # the GHZ state alone
+
+
+def test_tap_sees_the_one_send_to_slot_2(monkeypatch):
+    # Called once, on the GHZ state itself, whatever t is; its labels are the
+    # transcript's, one per branch.
+    prepared, calls = [], []
+
+    def prepare_ghz(t, d, original=affine.prepare_ghz):
+        prepared.append(original(t, d))
+        return prepared[-1]
+
+    def tap(state):
+        calls.append(state)
+        return [(0.25, "kept", state), (0.75, "again", state)]
+
+    monkeypatch.setattr(affine, "prepare_ghz", prepare_ghz)
+    cfg = RunConfig(secrets=(1, 2), n=7, t=5, d=11, shots=64, seed=3)
+    transcript = run_protocol(cfg, tap=tap)
+    assert len(prepared) == 1 and len(calls) == 1 and calls[0] is prepared[0]
+    assert transcript.tap_labels == ["kept", "again"]
+    # With t = 1 there is no send, so no tap.
+    phase = run_quantum_phase([6], 11, 4, np.random.default_rng(0), tap=tap)
+    assert len(calls) == 1 and phase.labels == [None]
 
 
 def _per_branch_quantum_phase(shadows, d, shots, rng, tap):
     """The quantum phase with one Fourier layer and one draw per tap branch,
     each branch's outcomes offset + r @ basis mod d: the oracle for the
     shared layers and draws of ``run_quantum_phase``."""
-    branches = [(1.0, (), affine.prepare_ghz(len(shadows), d))]
-    for position in range(2, len(shadows) + 1):
-        branches = [(w * p, labels + (label,), out) for w, labels, state in branches
-                    for p, label, out in tap(state, position)]
-    branches = [(w, labels, affine.fourier_shift(state, shadows))
-                for w, labels, state in branches]
+    ghz = affine.prepare_ghz(len(shadows), d)
+    branches = [(1.0, None, ghz)] if tap is None else tap(ghz)
+    branches = [(w, label, affine.fourier_shift(state, shadows))
+                for w, label, state in branches]
     weights = np.array([weight for weight, _, _ in branches])
     branch = rng.choice(len(weights), size=shots, p=weights / weights.sum())
     order = np.argsort(branch, kind="stable")
@@ -310,7 +340,7 @@ def _per_branch_quantum_phase(shadows, d, shots, rng, tap):
         coeffs = rng.integers(0, d, size=(count, len(state.basis)))
         digits[order[start:start + count]] = (state.offset + coeffs @ state.basis) % d
         start += count
-    return digits, branch, [labels for _, labels, _ in branches]
+    return digits, branch, [label for _, label, _ in branches]
 
 
 def _copied(branches):
@@ -319,41 +349,36 @@ def _copied(branches):
             for p, label, s in branches]
 
 
-# Per tapped leg: collapse, collapse into distinct basis arrays, or pass
-# with probability 1/2 and collapse otherwise, so equal states alternate
-# with others.
+# Taps on the send to slot 2: collapse, collapse into distinct basis arrays,
+# or pass with probability 1/2 and collapse otherwise, so equal states
+# alternate with others.
 _LEG_TAPS = {
-    "collapse": collapse_branches,
-    "copies": lambda state, position: _copied(collapse_branches(state, position)),
-    "mixed": lambda state, position: [(0.5, "pass", state)] + [
-        (p / 2, label, out) for p, label, out in collapse_branches(state, position)],
+    "collapse": lambda state: collapse_branches(state, 2),
+    "copies": lambda state: _copied(collapse_branches(state, 2)),
+    "mixed": lambda state: [(0.5, "pass", state)] + [
+        (p / 2, label, out) for p, label, out in collapse_branches(state, 2)],
 }
 
 
 @st.composite
 def _tapped_phases(draw):
-    """(shadows, d, shots, seed, legs): d <= 31, t <= 5, 1..300 shots, and
-    a leg tap from ``_LEG_TAPS`` on any subset of legs 2..t."""
+    """(shadows, d, shots, seed, tap): d <= 31, t <= 5, 1..300 shots, and
+    one tap from ``_LEG_TAPS`` by name, or None for no tap."""
     d = draw(st.sampled_from([2, *_ODD_PRIMES]))
     t = draw(st.integers(2, 5))
     shadows = draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
-    legs = draw(st.dictionaries(st.integers(2, t), st.sampled_from(list(_LEG_TAPS))))
-    return shadows, d, draw(st.integers(1, 300)), draw(st.integers(0, 2**32)), legs
+    tap = draw(st.sampled_from([None, *_LEG_TAPS]))
+    return shadows, d, draw(st.integers(1, 300)), draw(st.integers(0, 2**32)), tap
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_tapped_phases())
-@example(case=([5, 4, 7], 11, 300, 1, {2: "collapse"}))  # intercept-resend's tap
-@example(case=([5, 4, 7], 11, 300, 1, {2: "copies"}))
-@example(case=([1, 2, 3, 4], 5, 300, 2, {2: "mixed", 4: "mixed"}))
+@example(case=([5, 4, 7], 11, 300, 1, "collapse"))  # intercept-resend's tap
+@example(case=([5, 4, 7], 11, 300, 1, "copies"))
+@example(case=([1, 2, 3, 4], 5, 300, 2, "mixed"))
 def test_run_quantum_phase_matches_per_branch_oracle(case):
-    shadows, d, shots, seed, legs = case
-
-    def tap(state, position):
-        if position in legs:
-            return _LEG_TAPS[legs[position]](state, position)
-        return [(1.0, None, state)]
-
+    shadows, d, shots, seed, name = case
+    tap = None if name is None else _LEG_TAPS[name]
     phase = run_quantum_phase(shadows, d, shots, np.random.default_rng(seed), tap=tap)
     digits, branch, labels = _per_branch_quantum_phase(
         shadows, d, shots, np.random.default_rng(seed), tap)
@@ -491,7 +516,7 @@ _ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 @st.composite
 def _transcripts(draw):
     """An honest run (t=2..4, d <= 31, 1..300 shots) or an intercept-resend
-    run tapping position 2, whose per-shot sums vary."""
+    run tapping slot 2, whose per-shot sums vary."""
     tapped = draw(st.booleans())
     t = draw(st.integers(2, 4))
     d = draw(st.sampled_from([p for p in _ODD_PRIMES if t < p]))
@@ -500,8 +525,8 @@ def _transcripts(draw):
     cfg = RunConfig(secrets=secrets, n=n, t=t, d=d, shots=draw(st.integers(1, 300)),
                     seed=draw(st.integers(0, 2**32)), allow_out_of_range_prime=True)
 
-    def tap(state, position):
-        return collapse_branches(state, position) if position == 2 else [(1.0, None, state)]
+    def tap(state):
+        return collapse_branches(state, 2)
 
     return run_protocol(cfg, tap=tap if tapped else None)
 
@@ -537,8 +562,8 @@ _BLOCK = protocol.SHOTS_PER_BLOCK
 def test_write_json_to_a_file_matches_stdlib_encoder(shots, tapped, tmp_path):
     """The streamed writer's bytes on either side of each block boundary,
     with and without a tap whose per-shot sums vary."""
-    def tap(state, position):
-        return collapse_branches(state, position) if position == 2 else [(1.0, None, state)]
+    def tap(state):
+        return collapse_branches(state, 2)
 
     transcript = run_protocol(RunConfig(secrets=(4, 9), n=7, t=3, d=11, shots=shots,
                                         seed=shots), tap=tap if tapped else None)
