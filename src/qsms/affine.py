@@ -19,8 +19,8 @@ import numpy as np
 
 from .zmod import INT64_MODULUS_BOUND, is_prime, row_reduce
 
-# Tap branches held at once. Each holds O(t^2) integers, and each that ends
-# in a state of its own costs one Fourier layer and one sampler call.
+# Tap branches held at once. Each holds O(t^2) integers; sharing one basis,
+# they share one Fourier layer and one sampler call.
 BRANCH_GUARD = 2**12
 
 

@@ -31,8 +31,8 @@ from .zmod import FieldElement, is_prime, lagrange_weights, residues, smallest_v
 # symmetric, and every t >= 2 has this one.
 TAP_POSITION = 2
 # Middleware hook on that send: state -> [(probability, label, state), ...],
-# the weighted branches the send turns into, their probabilities summing to 1.
-# An identity tap returns [(1.0, None, state)]. The honest path installs none.
+# the branches the send turns into, with probabilities summing to 1 and one
+# shared basis. [(1.0, None, state)] passes the state on; the honest path has none.
 QuantumTap = Callable[[AffineState], list[tuple[float, Hashable, AffineState]]]
 
 # Most outcome digits (shots x t) a run may hold: 16 to 64 MiB in
@@ -291,23 +291,22 @@ def post_transform_branches(
     per branch, the label the tap's own. Without a tap there is one branch
     of weight 1 and label None.
 
-    The post-transform state depends on the basis alone (the offset only
-    sets phases), so consecutive branches whose bases are equal share one
-    ``fourier_shift`` result, the same object: the d children of a
-    collapse share one.
+    A tap's branches must share one basis, else ``ValueError``: the offset
+    only sets phases, so every branch holds the one ``fourier_shift`` result.
     """
     ghz = affine.prepare_ghz(len(shadows), d)
     branches = [(1.0, None, ghz)]
     if tap is not None and len(shadows) >= TAP_POSITION:
         branches = tap(ghz)
         affine.check_branches(len(branches))
-    out, basis, shifted = [], None, None
-    for weight, label, state in branches:
-        if shifted is None or not (state.basis is basis
-                                   or np.array_equal(state.basis, basis)):
-            basis, shifted = state.basis, affine.fourier_shift(state, shadows)
-        out.append((weight, label, shifted))
-    return out
+        if not branches:
+            raise ValueError("tap returned no branches")
+        basis = branches[0][2].basis
+        if not all(state.basis is basis or np.array_equal(state.basis, basis)
+                   for _, _, state in branches):
+            raise ValueError("tap branches must share one basis")
+    shifted = affine.fourier_shift(branches[0][2], shadows)
+    return [(weight, label, shifted) for weight, label, _ in branches]
 
 
 @dataclass(frozen=True)
@@ -318,7 +317,7 @@ class PhaseOutcomes:
     branch: np.ndarray  # (shots,) int64 index into labels
     labels: list[Hashable]  # per tap branch, the tap's label (None with no tap)
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # perfbench/tracer.py counts shots with it
         return len(self.digits)
 
 
@@ -329,11 +328,10 @@ def run_quantum_phase(
     rng: np.random.Generator,
     tap: QuantumTap | None = None,
 ) -> PhaseOutcomes:
-    """Steps 4-6: simulate each tap branch once, draw every shot's branch in
-    one call, then the shots of each run of consecutive branches that end
-    in the same state in one call.
+    """Steps 4-6: one Fourier layer, then every shot's tap branch in one
+    draw and its digits in another, in shot order, from the one
+    post-transform state the branches share.
 
-    Shots are drawn grouped by branch, in shot order within each branch.
     ``tap`` intercepts the initiator's send to ``TAP_POSITION`` before any
     QFT is applied; it is how adversaries are wired in.
     """
@@ -344,30 +342,23 @@ def run_quantum_phase(
     total = weights.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"tap branch probabilities sum to {total}, not 1")
+    # Honest, before any draw: support exactly {x : Σx ≡ Σ shadows}, as the basis has
+    # rank t - 1 (identity on its free columns), rows summing to 0 and offset to Σ shadows.
+    state, free = branches[0][2], branches[0][2].columns[0]
+    if tap is None and (len(free) != len(shadows) - 1
+                        or not np.array_equal(state.basis[:, free], np.eye(len(free)))
+                        or (state.basis.sum(axis=1) % d).any()
+                        or int(state.offset.sum()) % d != sum(shadows) % d):
+        raise AssertionError("honest post-transform state is not the summation coset")
     # ``rng.choice(len(weights), shots, p=weights / total)``'s own two steps,
     # the same values from the same draws, without its per-call checks.
     uniform = rng.random(shots)
-    labels = [label for _, label, _ in branches]
-    if len(branches) == 1:
-        branch = np.zeros(shots, dtype=np.int64)
-        return PhaseOutcomes(affine.sample(branches[0][2], shots, rng), branch, labels)
     cdf = np.cumsum(weights / total)
     cdf /= cdf[-1]
-    branch = cdf.searchsorted(uniform, side="right")
-    # A stable sort of ints of at most 16 bits is a radix sort.
-    order = np.argsort(branch.astype(np.min_scalar_type(len(branches) - 1)),
-                       kind="stable")
-    digits = np.empty((len(shadows), shots), dtype=digit_dtype(d)).T
-    # Drawing a run of branches' shots at once takes the same values from
-    # ``rng`` as drawing each branch's shots in turn.
-    start = end = 0
-    states = [state for _, _, state in branches]
-    for i, count in enumerate(np.bincount(branch, minlength=len(branches)).tolist()):
-        end += count
-        if i + 1 == len(states) or states[i + 1] is not states[i]:
-            digits[order[start:end]] = affine.sample(states[i], end - start, rng)
-            start = end
-    return PhaseOutcomes(digits, branch, labels)
+    branch = (cdf.searchsorted(uniform, side="right") if len(branches) > 1
+              else np.zeros(shots, dtype=np.int64))
+    return PhaseOutcomes(affine.sample(state, shots, rng), branch,
+                         [label for _, label, _ in branches])
 
 
 def aggregate(digits: np.ndarray, d: int) -> np.ndarray:

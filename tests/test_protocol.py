@@ -324,22 +324,19 @@ def test_tap_sees_the_one_send_to_slot_2(monkeypatch):
 
 
 def _per_branch_quantum_phase(shadows, d, shots, rng, tap):
-    """The quantum phase with one Fourier layer and one draw per tap branch,
-    each branch's outcomes offset + r @ basis mod d: the oracle for the
-    shared layers and draws of ``run_quantum_phase``."""
+    """The quantum phase with one Fourier layer per tap branch, each shot's
+    branch from ``rng.choice``, then one coefficient draw for every shot in
+    shot order, shot j's digits offset + r_j @ basis mod d in its own
+    branch's state: the oracle for the shared layer and draw of
+    ``run_quantum_phase``."""
     ghz = affine.prepare_ghz(len(shadows), d)
     branches = [(1.0, None, ghz)] if tap is None else tap(ghz)
-    branches = [(w, label, affine.fourier_shift(state, shadows))
-                for w, label, state in branches]
+    states = [affine.fourier_shift(state, shadows) for _, _, state in branches]
     weights = np.array([weight for weight, _, _ in branches])
     branch = rng.choice(len(weights), size=shots, p=weights / weights.sum())
-    order = np.argsort(branch, kind="stable")
-    digits = np.empty((shots, len(shadows)), dtype=np.int64)
-    start = 0
-    for (_, _, state), count in zip(branches, np.bincount(branch).tolist()):
-        coeffs = rng.integers(0, d, size=(count, len(state.basis)))
-        digits[order[start:start + count]] = (state.offset + coeffs @ state.basis) % d
-        start += count
+    coeffs = rng.integers(0, d, size=(shots, len(states[0].basis)))
+    digits = np.array([(states[b].offset + r @ states[b].basis) % d
+                       for b, r in zip(branch.tolist(), coeffs)], dtype=np.int64)
     return digits, branch, [label for _, label, _ in branches]
 
 
@@ -349,14 +346,10 @@ def _copied(branches):
             for p, label, s in branches]
 
 
-# Taps on the send to slot 2: collapse, collapse into distinct basis arrays,
-# or pass with probability 1/2 and collapse otherwise, so equal states
-# alternate with others.
+# Taps on the send to slot 2: collapse, or collapse into distinct basis arrays.
 _LEG_TAPS = {
     "collapse": lambda state: collapse_branches(state, 2),
     "copies": lambda state: _copied(collapse_branches(state, 2)),
-    "mixed": lambda state: [(0.5, "pass", state)] + [
-        (p / 2, label, out) for p, label, out in collapse_branches(state, 2)],
 }
 
 
@@ -375,7 +368,6 @@ def _tapped_phases(draw):
 @given(case=_tapped_phases())
 @example(case=([5, 4, 7], 11, 300, 1, "collapse"))  # intercept-resend's tap
 @example(case=([5, 4, 7], 11, 300, 1, "copies"))
-@example(case=([1, 2, 3, 4], 5, 300, 2, "mixed"))
 def test_run_quantum_phase_matches_per_branch_oracle(case):
     shadows, d, shots, seed, name = case
     tap = None if name is None else _LEG_TAPS[name]
@@ -385,6 +377,71 @@ def test_run_quantum_phase_matches_per_branch_oracle(case):
     np.testing.assert_array_equal(phase.digits, digits)
     np.testing.assert_array_equal(phase.branch, branch)
     assert phase.labels == labels
+
+
+def test_tap_branches_must_share_one_basis():
+    # Passing with probability 1/2 and collapsing otherwise leaves branches in
+    # two bases; the run is refused before anything is drawn.
+    def mixed(state):
+        return [(0.5, "pass", state)] + [
+            (p / 2, label, out) for p, label, out in collapse_branches(state, 2)]
+
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^tap branches must share one basis$"):
+        run_quantum_phase([1, 2, 3, 4], 5, 300, rng, tap=mixed)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match="^tap returned no branches$"):
+        run_quantum_phase([1, 2, 3, 4], 5, 300, rng, tap=lambda state: [])
+    assert rng.bit_generator.state == before
+
+
+def _short_dual(basis, d, original=affine._dual):
+    """``_dual`` one row short: its first free column counted as a pivot."""
+    null, free, pivots = original(basis, d)
+    return null[1:], free[1:], sorted([free[0], *pivots])
+
+
+def _shifted_offset(state, shadows, original=affine.fourier_shift):
+    """Qudit 1's offset digit one higher."""
+    out = original(state, shadows)
+    offset = out.offset.copy()
+    offset[0] = (offset[0] + 1) % out.d
+    return affine.AffineState(out.d, offset, out.basis, out.columns)
+
+
+def _unbalanced_row(state, shadows, original=affine.fourier_shift):
+    """Row 0 no longer sums to 0 mod d; the identity on the free columns stays."""
+    out = original(state, shadows)
+    basis = out.basis.copy()
+    basis[0, out.columns[1][0]] += 1
+    basis %= out.d
+    return affine.AffineState(out.d, out.offset, basis, (out.columns[0], out.columns[1],
+                                                         basis[:, out.columns[1]]))
+
+
+@pytest.mark.parametrize("name, mutant", [("_dual", _short_dual),
+                                          ("fourier_shift", _shifted_offset),
+                                          ("fourier_shift", _unbalanced_row)])
+def test_honest_run_checks_the_summation_coset_before_drawing(name, mutant, monkeypatch):
+    # The sampled check passes each mutant at 1 shot, and the first two at
+    # any count: the short dual keeps the result (5) on 11 of the 121 coset
+    # rows, the shifted offset gives 6. The exact check fails each at 1 shot.
+    monkeypatch.setattr(affine, name, mutant)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(AssertionError,
+                       match="^honest post-transform state is not the summation coset$"):
+        run_quantum_phase([5, 4, 7], 11, 1, rng)
+    assert rng.bit_generator.state == before
+    with pytest.raises(AssertionError, match="summation coset"):
+        run_protocol(replace(PAPER_CONFIG, shots=1))
+
+
+@pytest.mark.parametrize("n, t, d", [(60, 50, 101), (200, 150, 211), (300, 300, 307)])
+def test_honest_runs_at_target_size_pass_the_coset_check(n, t, d):
+    cfg = RunConfig(secrets=(3, 5), n=n, t=t, d=d, shots=1)
+    assert run_protocol(cfg).per_shot_sums.tolist() == [8]
 
 
 @pytest.mark.parametrize("d", [2**31 + 11, 2**61 - 1])
