@@ -9,7 +9,6 @@ consistent.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -17,10 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from . import affine
-from .protocol import (TAP_POSITION, ConfigError, ResolvedConfig, RunConfig, _sequence,
-                       post_transform_branches, prepare_run, run_generators, run_protocol)
+from .protocol import (TAP_POSITION, ConfigError, ResolvedConfig, RunConfig, _json_value,
+                       _sequence, combine, deal, prepare_run, run_generators, run_protocol,
+                       send_ghz)
 from .shamir import Share
-from .zmod import is_prime, row_reduce
+from .zmod import FieldElement, is_prime, row_reduce
 
 
 class ThresholdReachedError(ValueError):
@@ -70,7 +70,8 @@ class AttackReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, from the transcript's writer."""
+        return _json_value(self.to_dict(), 0)
 
 
 def _counts_to_dist(counts: np.ndarray, shots: int) -> dict[str, float]:
@@ -114,9 +115,9 @@ def intercept_and_measure(config: RunConfig,
     """Tap the initiator's send to slot 2 and measure it.
 
     For each secret tuple, ``config`` with those secrets runs its classical
-    phase, and the protocol's quantum phase sends the leg to slot 2 through
-    a tap that reads its marginal in flight; that marginal is
-    sampled ``shots`` times. The report compares the per-secret
+    phase, and the protocol's Step 4 sends the leg to slot 2 through a tap
+    that reads its marginal in flight, before any Fourier layer; that
+    marginal is sampled ``shots`` times. The report compares the per-secret
     distributions (they should be statistically indistinguishable and
     uniform) and the attacker's best-guess success rate against the 1/d
     baseline.
@@ -136,8 +137,8 @@ def intercept_and_measure(config: RunConfig,
     distributions: dict[str, dict[str, float]] = {}
     pooled = np.zeros(d, dtype=np.int64)
     for cfg in configs:
-        prepared = prepare_run(cfg, rng)
-        post_transform_branches(prepared.shadows, d, tap)
+        prepare_run(cfg, rng)  # draws the dealer polynomials, as a run would
+        send_ghz(cfg.t, d, tap)
         counts = rng.multinomial(shots, in_flight.pop())
         pooled += counts
         distributions[str(cfg.secrets)] = _counts_to_dist(counts, shots)
@@ -189,14 +190,16 @@ def intercept_resend(config: RunConfig | ResolvedConfig) -> AttackReport:
 def dealt_shares(config: ResolvedConfig, players: Sequence[int]) -> list[Share]:
     """The combined shares ``run_protocol(config)`` deals to ``players``
     (distinct indices in 1..n, else a ``ConfigError``), from the same deal
-    generator; no quantum phase runs."""
+    generator; no shadow is computed and no quantum phase runs."""
     # Player 0 or -1 would silently take a share from the end of the list.
     players = _sequence("colluders", players)
     if len(set(players)) != len(players) or not all(1 <= i <= config.n for i in players):
         raise ConfigError(f"colluders must be distinct players in 1..{config.n}")
     deal_rng, _ = run_generators(config.seed)
-    prepared = prepare_run(config, deal_rng)
-    return [prepared.combined_share(i) for i in players]
+    d = config.d
+    combined = combine(deal(config, deal_rng), d).tolist()
+    return [Share(FieldElement(config.evaluation_points[i - 1], d),
+                  FieldElement(combined[i - 1], d)) for i in players]
 
 
 def collusion_inference(

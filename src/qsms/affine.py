@@ -108,7 +108,8 @@ def collapse_branches(
     rest = np.delete(state.basis, rows[0], axis=0)
     rest = (rest - rest[:, col:col + 1] * pivot) % d
     base = (state.offset - state.offset[col] * pivot) % d  # digit 0 at the qudit
-    return [(1.0 / d, c, AffineState(d, (base + c * pivot) % d, rest)) for c in range(d)]
+    offsets = (base + np.arange(d)[:, None] * pivot) % d  # row c: digit c at the qudit
+    return [(1.0 / d, c, AffineState(d, offset, rest)) for c, offset in enumerate(offsets)]
 
 
 def _dual(basis: np.ndarray, d: int) -> tuple[np.ndarray, list[int], list[int]]:

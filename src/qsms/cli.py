@@ -44,7 +44,11 @@ DEMO_RESULT = 5
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _poly_list(text: str) -> tuple[tuple[int, ...], ...]:
@@ -205,7 +209,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a ConfigError, so it gets the one
-    ``error:`` line of every other usage error; subparsers inherit this."""
+    ``error:`` line of every other usage error; subparsers inherit this.
+    ``commands`` maps each command name to its subparser."""
 
     def error(self, message: str):
         raise ConfigError(message)
@@ -219,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Threshold quantum secure multiparty summation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     # The flags ``run`` and ``attack`` share; none has a default, so an
     # omitted one leaves the command's base config in force.
     shared = argparse.ArgumentParser(add_help=False)
@@ -262,8 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # A command's parser reads the rest, as the top parser would pass it on.
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

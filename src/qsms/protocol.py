@@ -280,31 +280,32 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
     return PreparedRun(config, rows, combined.tolist(), shadows)
 
 
+def send_ghz(t: int, d: int, tap: QuantumTap | None = None
+             ) -> list[tuple[float, Hashable, AffineState]]:
+    """Step 4: the initiator prepares the GHZ state and, when t >= 2, sends the
+    leg to ``TAP_POSITION`` through ``tap``. Returns the tap's branches, which
+    must share one basis (else ``ValueError``), or, untapped, [(1.0, None, GHZ)].
+    """
+    ghz = affine.prepare_ghz(t, d)
+    if tap is None or t < TAP_POSITION:
+        return [(1.0, None, ghz)]
+    branches = tap(ghz)
+    affine.check_branches(len(branches))
+    if not branches:
+        raise ValueError("tap returned no branches")
+    basis = branches[0][2].basis
+    if not all(state.basis is basis or np.array_equal(state.basis, basis)
+               for _, _, state in branches):
+        raise ValueError("tap branches must share one basis")
+    return branches
+
+
 def post_transform_branches(
     shadows: Sequence[int], d: int, tap: QuantumTap | None = None
 ) -> list[tuple[float, Hashable, AffineState]]:
-    """Steps 4-5 on affine states.
-
-    The initiator prepares the GHZ state and, when t >= 2, sends the leg to
-    ``TAP_POSITION`` through ``tap``; then the player in slot u applies the
-    QFT and X^{shadow_u}. Returns (probability, label, post-transform state)
-    per branch, the label the tap's own. Without a tap there is one branch
-    of weight 1 and label None.
-
-    A tap's branches must share one basis, else ``ValueError``: the offset
-    only sets phases, so every branch holds the one ``fourier_shift`` result.
-    """
-    ghz = affine.prepare_ghz(len(shadows), d)
-    branches = [(1.0, None, ghz)]
-    if tap is not None and len(shadows) >= TAP_POSITION:
-        branches = tap(ghz)
-        affine.check_branches(len(branches))
-        if not branches:
-            raise ValueError("tap returned no branches")
-        basis = branches[0][2].basis
-        if not all(state.basis is basis or np.array_equal(state.basis, basis)
-                   for _, _, state in branches):
-            raise ValueError("tap branches must share one basis")
+    """Steps 4-5: ``send_ghz``'s branches, each holding the one state the QFT
+    and X^{shadow_u} in every slot u turn them into."""
+    branches = send_ghz(len(shadows), d, tap)
     shifted = affine.fourier_shift(branches[0][2], shadows)
     return [(weight, label, shifted) for weight, label, _ in branches]
 
@@ -424,13 +425,22 @@ def _repeated_blocks(text: str, count: int, depth: int) -> Iterator[str]:
     yield closing
 
 
+# Each JSON scalar type's text, as json.dumps writes it (a float: finite).
+_JSON_SCALARS = {int: int.__repr__, float: float.__repr__, type(None): lambda _: "null",
+                 str: json.encoder.encode_basestring_ascii, bool: lambda b: str(b).lower()}
+
+
 def _json_value(value, depth: int) -> str:
-    """An int, None or nested tuple of ints as ``_json_list`` writes it at ``depth``."""
-    if value is None:
-        return "null"
-    if isinstance(value, tuple):
-        return "".join(_json_list([_json_value(v, depth + 1) for v in value], depth))
-    return str(value)
+    """``json.dumps(value, indent=2)`` as ``_json_list`` writes it at ``depth``, for a
+    JSON scalar or a list, tuple or str-keyed dict of them."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, dict):
+        key = _JSON_SCALARS[str]
+        return "".join(_json_list([f"{key(k)}: {_json_value(v, depth + 1)}"
+                                   for k, v in value.items()], depth, "{}"))
+    return "".join(_json_list([_json_value(v, depth + 1) for v in value], depth))
 
 
 def _message_records(config: ResolvedConfig, dealer_rows: np.ndarray) -> list[tuple]:

@@ -1,4 +1,6 @@
 import itertools
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +205,44 @@ def test_no_tap_control_identical_to_honest():
     honest = run_protocol(cfg)
     controlled = run_protocol(cfg, tap=lambda state: [(1.0, None, state)])
     assert controlled.to_json() == honest.to_json()
+
+
+def test_report_json_matches_stdlib_encoder(monkeypatch):
+    # The transcript's writer renders each report, failing ones included.
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=500, seed=1)
+    intercept = intercept_and_measure(cfg, [(2, 3), (7, 9)])
+    collusion = collusion_inference(adversary.dealt_shares(cfg.resolved(), [2, 3]), t=3, d=11)
+    assert collusion.tv_distances == {}
+    reports = [intercept, intercept_resend(cfg), collusion,
+               # Floats that repr writes with an exponent, a string to escape.
+               replace(intercept, target='P["2"] \u00e9', guess_rate=1.5e-07,
+                       details={"tiny": 5e-324, "big": 1e22, "none": None, "list": []})]
+    # A GHZ state sent as |0...0>: the failing report of a broken protocol.
+    monkeypatch.setattr(affine, "prepare_ghz", lambda t, d: AffineState(
+        d, np.zeros(t, dtype=np.int64), np.zeros((0, t), dtype=np.int64)))
+    failing = intercept_and_measure(cfg, [(2, 3), (7, 9)])
+    assert not failing.passed and failing.guess_rate == 1.0
+    for report in [*reports, failing]:
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+def test_intercept_runs_no_fourier_layer(monkeypatch):
+    # The tap reads the leg before any QFT, so Step 5 is never run.
+    def refuse(*args):
+        raise AssertionError("Fourier layer applied")
+
+    monkeypatch.setattr(affine, "fourier_shift", refuse)
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=500, seed=1)
+    assert intercept_and_measure(cfg, [(2, 3), (7, 9)]).passed
+
+
+def test_dealt_shares_computes_no_shadows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("shadows computed")
+
+    monkeypatch.setattr(protocol, "lagrange_weights", refuse)
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, seed=1).resolved()
+    assert len(adversary.dealt_shares(cfg, [1, 2])) == 2
 
 
 def _paper_shares():

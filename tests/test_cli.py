@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -318,19 +319,19 @@ def test_run_rejects_bad_config_file(config, message, tmp_path, capsys):
     assert re.search(message, _single_error_line(capsys))
 
 
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["--kind", "collusion", "--colluders", "1,99"], "distinct players in 1..7"),
-        (["--kind", "collusion", "--colluders", "0,1"], "distinct players in 1..7"),
-        (["--kind", "collusion", "--colluders", "2,2"], "distinct players in 1..7"),
-        (["--kind", "intercept", "--n", "99", "--d", "11"], "outside"),
-        (["--kind", "intercept-resend", "--n", "99", "--d", "11"], "outside"),
-        (["--kind", "collusion", "--colluders", "1", "--n", "99", "--d", "11"], "outside"),
-        # The seed is checked before intercept-resend offsets it by one.
-        (["--kind", "intercept-resend", "--seed", "-1"], "seed must be >= 0, got -1"),
-    ],
-)
+_BAD_ATTACK_INPUTS = [
+    (["--kind", "collusion", "--colluders", "1,99"], "distinct players in 1..7"),
+    (["--kind", "collusion", "--colluders", "0,1"], "distinct players in 1..7"),
+    (["--kind", "collusion", "--colluders", "2,2"], "distinct players in 1..7"),
+    (["--kind", "intercept", "--n", "99", "--d", "11"], "outside"),
+    (["--kind", "intercept-resend", "--n", "99", "--d", "11"], "outside"),
+    (["--kind", "collusion", "--colluders", "1", "--n", "99", "--d", "11"], "outside"),
+    # The seed is checked before intercept-resend offsets it by one.
+    (["--kind", "intercept-resend", "--seed", "-1"], "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _BAD_ATTACK_INPUTS)
 def test_attack_rejects_bad_inputs(argv, message, capsys):
     assert main(["attack", *argv, "--shots", "16"]) == EXIT_USAGE
     assert message in _single_error_line(capsys)
@@ -356,15 +357,20 @@ def test_attack_derives_d_as_run_does(kind, capsys):
     assert capsys.readouterr().out == derived
 
 
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["run", "--n", "x"], "error: argument --n: invalid int value: 'x'\n"),
-        (["run", "--format", "yaml"], "error: argument --format: invalid choice: 'yaml'"),
-        (["attack", "--shots", "16"],
-         "error: the following arguments are required: --kind\n"),
-    ],
-)
+_MALFORMED_FLAGS = [
+    (["run", "--n", "x"], "error: argument --n: invalid int value: 'x'\n"),
+    (["run", "--format", "yaml"], "error: argument --format: invalid choice: 'yaml'"),
+    (["attack", "--shots", "16"], "error: the following arguments are required: --kind\n"),
+    # A list flag's error says what it expected (of the tuple at fault), not
+    # which function parsed it.
+    (["run", "--secrets", "a,b"],
+     "error: argument --secrets: expected comma-separated integers, got 'a,b'\n"),
+    (["attack", "--kind", "intercept", "--secret-pairs", "1,2;3,a"],
+     "error: argument --secret-pairs: expected comma-separated integers, got '3,a'\n"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _MALFORMED_FLAGS)
 def test_malformed_flags_give_one_error_line(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     assert _single_error_line(capsys).startswith(message)
@@ -373,6 +379,37 @@ def test_malformed_flags_give_one_error_line(argv, message, capsys):
 def test_help_exits_ok(capsys):
     assert main(["run", "--help"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("usage: qsms run")
+
+
+# Command lines of the tests above, and the top parser's own cases: no
+# command, top-level help, an unknown command.
+_DISPATCHED = [
+    [], ["--help"], ["spy"], ["run", "--help"], ["demo", "extra"], ["demo", "--shots", "16"],
+    ["run", "--secrets", "1,2", "--n", "4", "--t", "2", "--d", "5", "--shots", "8",
+     "--format", "csv"],
+    ["attack", "--kind", "collusion", "--colluders", "2,3"],
+    ["verify", "--d", "11", "--t", "3", "--shadows", "5,4,7"],
+    *(argv for argv, _ in _MALFORMED_FLAGS),
+    *(["attack", *argv, "--shots", "16"] for argv, _ in _BAD_ATTACK_INPUTS),
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCHED, ids=lambda argv: " ".join(argv) or "-")
+def test_one_parse_per_command_line(argv, monkeypatch, capsys):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    outcome = (main(argv), *capsys.readouterr())
+    assert len(calls) == 1
+    # Without the command table every line goes through the top parser, which
+    # hands the rest of argv to the command's parser: the same exit and text.
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert (main(argv), *capsys.readouterr()) == outcome
 
 
 # sha256 of each output, pinned: a change to the seed stream or to the
@@ -576,6 +613,20 @@ def test_demo_output_never_calls_json_dumps(tmp_path, monkeypatch, capsys):
     out_file = tmp_path / "demo.json"
     assert main(["demo", "--shots", "64", "--output", str(out_file)]) == EXIT_OK
     assert json.loads(out_file.read_text())["per_shot_sums"] == [5] * 64
+
+
+def test_attack_output_never_calls_json_dumps(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    # Each report is rendered by the transcript's writer.
+    monkeypatch.setattr(protocol.json, "dumps", refuse)
+    for kind in (["intercept"], ["intercept-resend"], ["collusion", "--colluders", "2,3"]):
+        out_file = tmp_path / f"{kind[0]}.json"
+        argv = ["attack", "--kind", *kind, "--shots", "500", "--output", str(out_file)]
+        assert main(argv) == EXIT_OK
+        assert json.loads(out_file.read_text())["pass"] is True
+    assert capsys.readouterr().err == ""
 
 
 class _ClosedAfter(io.StringIO):

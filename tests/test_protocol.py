@@ -16,6 +16,7 @@ from qsms.protocol import (
     ProtocolTranscript,
     RunConfig,
     _json_list,
+    _json_value,
     aggregate,
     combine,
     deal,
@@ -752,6 +753,23 @@ def _written(value, depth):
 def test_json_list_matches_stdlib_encoder(value, depth):
     expected = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
     assert _written(value, depth) == expected
+
+
+# Reports hold finite floats only; json.dumps writes NaN, which JSON lacks.
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+
+
+@given(value=st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                          | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+                          max_leaves=12),
+       depth=st.integers(0, 2))
+@example(value={"scenario": {}, "tv": [], "rate": 1.5e-07, "pass": False}, depth=0)
+@example(value=['"\\\u00e9\n', -0.0, 1e22, 5e-324], depth=1)
+@example(value=(1, (2, None)), depth=1)  # tuples, as a resolved config holds them
+def test_json_value_matches_stdlib_encoder(value, depth):
+    expected = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+    assert _json_value(value, depth) == expected
 
 
 def test_resolved_bounds_outcome_entries(monkeypatch):
