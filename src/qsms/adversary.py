@@ -17,8 +17,9 @@ import numpy as np
 
 from . import affine
 from .protocol import (TAP_POSITION, ConfigError, ResolvedConfig, RunConfig, _json_value,
-                       _sequence, combine, deal, prepare_run, run_generators, run_protocol,
-                       send_ghz)
+                       _sequence, branch_counts, combine, deal, run_generators,
+                       run_protocol, send_ghz)
+from .protocol import prepare_run  # noqa: F401 (not called: perfbench/tracer.py patches it)
 from .shamir import Share
 from .zmod import FieldElement, is_prime, row_reduce
 
@@ -80,6 +81,12 @@ def _counts_to_dist(counts: np.ndarray, shots: int) -> dict[str, float]:
     return {str(k): v / shots for k, v in enumerate(counts.tolist()) if v}
 
 
+def measure_leg(state: affine.AffineState) -> list[tuple[float, int, affine.AffineState]]:
+    """Both tap attacks' tap: measure the leg sent to slot 2, one branch per
+    digit, labelled by it, and pass the collapsed particle on."""
+    return affine.collapse_branches(state, TAP_POSITION)
+
+
 def _tap_report(kind: str, shots: int, counts: np.ndarray,
                 distributions: dict, tv: dict[str, float], checked_tv: float,
                 **details) -> AttackReport:
@@ -114,10 +121,10 @@ def intercept_and_measure(config: RunConfig,
                           secret_pairs: Sequence[tuple[int, ...]]) -> AttackReport:
     """Tap the initiator's send to slot 2 and measure it.
 
-    For each secret tuple, ``config`` with those secrets runs its classical
-    phase, and the protocol's Step 4 sends the leg to slot 2 through a tap
-    that reads its marginal in flight, before any Fourier layer; that
-    marginal is sampled ``shots`` times. The report compares the per-secret
+    For each secret tuple, ``config`` with those secrets deals its shares,
+    and the protocol's Step 4 sends the leg to slot 2 through ``measure_leg``,
+    before any Fourier layer; the protocol's branch draw then splits
+    ``shots`` among the digits read. The report compares the per-secret
     distributions (they should be statistically indistinguishable and
     uniform) and the attacker's best-guess success rate against the 1/d
     baseline.
@@ -126,20 +133,15 @@ def intercept_and_measure(config: RunConfig,
         raise ValueError("need at least two secret tuples to compare")
     configs = [replace(config, secrets=pair).resolved() for pair in secret_pairs]
     d, shots = configs[0].d, configs[0].shots
-    in_flight = []
-
-    def tap(state):
-        # The attacker reads the leg's marginal and lets the state pass.
-        in_flight.append(affine.marginal_distribution(state, TAP_POSITION))
-        return [(1.0, None, state)]
-
     rng = np.random.default_rng(configs[0].seed)
     distributions: dict[str, dict[str, float]] = {}
-    pooled = np.zeros(d, dtype=np.int64)
+    pooled = np.zeros(d)
     for cfg in configs:
-        prepare_run(cfg, rng)  # draws the dealer polynomials, as a run would
-        send_ghz(cfg.t, d, tap)
-        counts = rng.multinomial(shots, in_flight.pop())
+        deal(cfg, rng)  # draws the dealer polynomials, as a run would
+        branches = send_ghz(cfg.t, d, measure_leg)
+        # Each digit's shots: whole numbers, exact in bincount's float64.
+        counts = np.bincount([label for _, label, _ in branches],
+                             branch_counts(branches, shots, rng), d)
         pooled += counts
         distributions[str(cfg.secrets)] = _counts_to_dist(counts, shots)
 
@@ -162,14 +164,11 @@ def intercept_resend(config: RunConfig | ResolvedConfig) -> AttackReport:
     """
     # The attacker's digit labels each branch; the collapsed state is the
     # "clone" particle sent onward.
-    attacked = run_protocol(
-        config, tap=lambda state: affine.collapse_branches(state, TAP_POSITION))
+    attacked = run_protocol(config, tap=measure_leg)
     d, shots = attacked.config.d, attacked.config.shots
     # Every honest shot sums to the shadows' sum, the secret total.
     honest_result = sum(attacked.shadows) % d
-    attacker_counts = np.zeros(d, dtype=np.int64)
-    np.add.at(attacker_counts, attacked.tap_labels,
-              np.bincount(attacked.tap_branch, minlength=len(attacked.tap_labels)))
+    attacker_counts = np.bincount(attacked.tap_labels, attacked.tap_counts, d)
     attacker_dist = _counts_to_dist(attacker_counts, shots)
     aggregate_dist = _counts_to_dist(np.bincount(attacked.per_shot_sums), shots)
     uniform = {str(c): 1.0 / d for c in range(d)}

@@ -78,17 +78,6 @@ def _column(state: AffineState, position: int) -> int:
     return position - 1
 
 
-def marginal_distribution(state: AffineState, position: int) -> np.ndarray:
-    """Computational-basis distribution of one qudit: uniform when the
-    support varies its digit, else a point mass on the offset's digit."""
-    col = _column(state, position)
-    if state.basis[:, col].any():
-        return np.full(state.d, 1.0 / state.d)
-    marginal = np.zeros(state.d)
-    marginal[state.offset[col]] = 1.0
-    return marginal
-
-
 def collapse_branches(
     state: AffineState, position: int
 ) -> list[tuple[float, int, AffineState]]:

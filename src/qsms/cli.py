@@ -130,8 +130,11 @@ def _emit_transcript(transcript, args) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     base = {}
     if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                base = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise ConfigError(f"--config {args.config}: {exc}") from None
     transcript = run_protocol(_config_from_args(args, base))
     _emit_transcript(transcript, args)
     return EXIT_OK
@@ -192,6 +195,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     shadows = list(args.shadows)
     if len(shadows) != t:
         raise ConfigError(f"expected {t} shadows, got {len(shadows)}")
+    for s in shadows:
+        if not 0 <= s < d:
+            raise ConfigError(f"shadow {s} outside [0, {d})")
     state = qudit.post_transform_state(shadows, d)
     analytic = qudit.analytic_post_transform_state(t, d, shadows)
     max_diff = float(np.max(np.abs(state.amplitudes - analytic.amplitudes)))

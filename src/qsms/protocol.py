@@ -310,12 +310,26 @@ def post_transform_branches(
     return [(weight, label, shifted) for weight, label, _ in branches]
 
 
+def branch_counts(branches: list, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """How many of ``shots`` fall in each tap branch, from one
+    ``rng.multinomial`` of the branches' probabilities, which must be finite,
+    non-negative and sum to 1 (else ``ValueError``). One branch takes every
+    shot and draws nothing from ``rng``."""
+    weights = np.array([weight for weight, _, _ in branches])
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValueError("tap branch probabilities must be finite and non-negative")
+    total = weights.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"tap branch probabilities sum to {total}, not 1")
+    return rng.multinomial(shots, weights / total)
+
+
 @dataclass(frozen=True)
 class PhaseOutcomes:
-    """Step 6 for every shot: the measured digits and the tap branch drawn."""
+    """Step 6 for every shot: the measured digits, and the shots per tap branch."""
 
     digits: np.ndarray  # (shots, t) in digit_dtype(d), qudit 1 first
-    branch: np.ndarray  # (shots,) int64 index into labels
+    counts: np.ndarray  # (branches,) int64: the shots drawn in each tap branch
     labels: list[Hashable]  # per tap branch, the tap's label (None with no tap)
 
     def __len__(self) -> int:  # perfbench/tracer.py counts shots with it
@@ -329,20 +343,14 @@ def run_quantum_phase(
     rng: np.random.Generator,
     tap: QuantumTap | None = None,
 ) -> PhaseOutcomes:
-    """Steps 4-6: one Fourier layer, then every shot's tap branch in one
-    draw and its digits in another, in shot order, from the one
-    post-transform state the branches share.
+    """Steps 4-6: one Fourier layer, then one multinomial draw of the shots
+    each tap branch takes, then every shot's digits in one draw, in shot
+    order, from the one post-transform state the branches share.
 
     ``tap`` intercepts the initiator's send to ``TAP_POSITION`` before any
     QFT is applied; it is how adversaries are wired in.
     """
     branches = post_transform_branches(shadows, d, tap)
-    weights = np.array([weight for weight, _, _ in branches])
-    if not np.isfinite(weights).all() or (weights < 0).any():
-        raise ValueError("tap branch probabilities must be finite and non-negative")
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"tap branch probabilities sum to {total}, not 1")
     # Honest, before any draw: support exactly {x : Σx ≡ Σ shadows}, as the basis has
     # rank t - 1 (identity on its free columns), rows summing to 0 and offset to Σ shadows.
     state, free = branches[0][2], branches[0][2].columns[0]
@@ -351,14 +359,8 @@ def run_quantum_phase(
                         or (state.basis.sum(axis=1) % d).any()
                         or int(state.offset.sum()) % d != sum(shadows) % d):
         raise AssertionError("honest post-transform state is not the summation coset")
-    # ``rng.choice(len(weights), shots, p=weights / total)``'s own two steps,
-    # the same values from the same draws, without its per-call checks.
-    uniform = rng.random(shots)
-    cdf = np.cumsum(weights / total)
-    cdf /= cdf[-1]
-    branch = (cdf.searchsorted(uniform, side="right") if len(branches) > 1
-              else np.zeros(shots, dtype=np.int64))
-    return PhaseOutcomes(affine.sample(state, shots, rng), branch,
+    counts = branch_counts(branches, shots, rng)  # first: the digit draw follows it
+    return PhaseOutcomes(affine.sample(state, shots, rng), counts,
                          [label for _, label, _ in branches])
 
 
@@ -461,8 +463,8 @@ class ProtocolTranscript(PreparedRun):
     """A run: its classical phase, then its quantum phase's outcomes and result."""
 
     outcomes: np.ndarray  # (shots, t) measured digits, in digit_dtype(d)
-    # Not serialized: each shot's tap branch, and each branch's label.
-    tap_branch: np.ndarray  # (shots,) int64 index into tap_labels
+    # Not serialized: the shots in each tap branch, and each branch's label.
+    tap_counts: np.ndarray  # (branches,) int64, in tap_labels' order
     tap_labels: list[Hashable]
     per_shot_sums: np.ndarray  # (shots,) in digit_dtype(d)
     result: int
@@ -608,5 +610,5 @@ def run_protocol(
     if tap is None and (sums != sums[0]).any():
         raise AssertionError("honest run produced non-constant per-shot sums")
     return ProtocolTranscript(**vars(prepared), outcomes=phase.digits,
-                              tap_branch=phase.branch, tap_labels=phase.labels,
+                              tap_counts=phase.counts, tap_labels=phase.labels,
                               per_shot_sums=sums, result=int(sums[0]))

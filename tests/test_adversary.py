@@ -170,6 +170,33 @@ def test_intercept_resend_runs_one_fourier_layer_and_one_draw_per_run(monkeypatc
     assert calls == {"fourier_shift": 1, "sample": 1}
 
 
+@pytest.mark.parametrize("kind", ["intercept", "intercept-resend"])
+def test_tap_attacks_draw_through_the_protocol_once_per_run(kind, monkeypatch):
+    # Both attacks collapse the leg with one tap and split the shots among
+    # its branches with the protocol's one draw: once per secret tuple, or
+    # once for the attacked run. The eavesdropper's digits count every shot.
+    draws = []
+
+    def recorded(branches, shots, rng, original=protocol.branch_counts):
+        assert [label for _, label, _ in branches] == list(range(11))
+        draws.append(original(branches, shots, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(protocol, "branch_counts", recorded)
+    monkeypatch.setattr(adversary, "branch_counts", recorded)
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=3000, seed=4)
+    if kind == "intercept":
+        report = intercept_and_measure(cfg, [(2, 3), (7, 9), (1, 1)])
+        seen = list(report.distributions.values())
+    else:
+        report = intercept_resend(cfg)
+        seen = [report.distributions["attacker"]]
+    assert len(draws) == len(seen)
+    for counts, dist in zip(draws, seen):
+        assert counts.sum() == 3000
+        assert dist == {str(k): c / 3000 for k, c in enumerate(counts.tolist()) if c}
+
+
 def _margin_reports():
     """Each report with the statistic its uniformity bound checks."""
     intercept = intercept_and_measure(

@@ -107,6 +107,16 @@ def test_verify_paper_shadows(capsys):
     assert "verification passed" in out
 
 
+def test_verify_rejects_a_shadow_before_building_a_state(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("state built")
+
+    monkeypatch.setattr(affine, "prepare_ghz", refuse)
+    monkeypatch.setattr("qsms.qudit.prepare_ghz", refuse)
+    assert main(["verify", "--d", "11", "--t", "3", "--shadows", "5,4,11"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: shadow 11 outside [0, 11)\n"
+
+
 def test_verify_trivial_and_small(capsys):
     assert main(["verify", "--d", "2", "--t", "1", "--shadows", "1"]) == EXIT_OK
     assert main(["verify", "--d", "3", "--t", "2", "--shadows", "1,2"]) == EXIT_OK
@@ -156,12 +166,12 @@ def test_attack_intercept_resend_runs_every_shot(capsys):
     assert sum(doc["distributions"]["attacker"].values()) == pytest.approx(1.0)
 
 
-def test_attack_collapse_branches_hit_guard(monkeypatch, capsys):
-    # 11 collapse branches exceed a guard of 10 before any branch is built.
-    from qsms import affine
-
+@pytest.mark.parametrize("kind", ["intercept", "intercept-resend"])
+def test_attack_collapse_branches_hit_guard(kind, monkeypatch, capsys):
+    # Both tap attacks collapse the leg: 11 branches exceed a guard of 10
+    # before any branch is built.
     monkeypatch.setattr(affine, "BRANCH_GUARD", 10)
-    assert main(["attack", "--kind", "intercept-resend", "--shots", "16"]) == EXIT_GUARD
+    assert main(["attack", "--kind", kind, "--shots", "16"]) == EXIT_GUARD
     err = capsys.readouterr().err
     assert err == "error: 11 tap branches exceed guard 10\n"
 
@@ -310,11 +320,18 @@ def _single_error_line(capsys) -> str:
         ({"secrets": [2.7, 3], "n": 7, "t": 3}, r"secrets\[0\] must be an integer"),
         ({"secrets": [2, 3], "n": 7, "t": 3, "qualifed": [1, 2, 3]},
          "unknown config key"),
+        # Bytes are the file itself: text that is not JSON, or not UTF-8.
+        (b'{"secrets": [2, 3], n: 7}',
+         r"^error: --config \S+cfg\.json: Expecting property name"),
+        (b'\xff{}', r"^error: --config \S+cfg\.json: 'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_run_rejects_bad_config_file(config, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path)]) == EXIT_USAGE
     assert re.search(message, _single_error_line(capsys))
 
@@ -367,6 +384,11 @@ _MALFORMED_FLAGS = [
      "error: argument --secrets: expected comma-separated integers, got 'a,b'\n"),
     (["attack", "--kind", "intercept", "--secret-pairs", "1,2;3,a"],
      "error: argument --secret-pairs: expected comma-separated integers, got '3,a'\n"),
+    # A shadow is a residue mod d, as a secret is: 18 is not 7, nor -1 10.
+    (["verify", "--d", "11", "--t", "3", "--shadows", "5,4,18"],
+     "error: shadow 18 outside [0, 11)\n"),
+    (["verify", "--d", "11", "--t", "2", "--shadows=-1,2"],
+     "error: shadow -1 outside [0, 11)\n"),
 ]
 
 
@@ -416,23 +438,23 @@ def test_one_parse_per_command_line(argv, monkeypatch, capsys):
 # output format must update these and say so in CHANGES.md.
 PINNED_OUTPUTS = {
     "demo": (["demo", "--output", "{out}"],
-             "f66fbb518027a42e9576416174e55aa600240ef923caaa09512e6f28a5bc9f8d"),
+             "d4ed30d684ffa6c1a5d258e4814b0699edcccd5102526366ebda94c69eee53fc"),
     "run": (["run", "--secrets", "4,9,6", "--t", "3", "--n", "7", "--d", "11",
              "--format", "json"],
-            "36b7db6ae369e8dcbae4ede254aa6c1b8b955c11a2058df1ee678ed726c9466a"),
+            "b2ee6a5f71d6007e6666a2520f82ff8a4061a184a7f9ac4ae4dc1bfac8c28210"),
     "run t=50": (["run", "--secrets", "3,5", "--n", "60", "--t", "50", "--d", "101",
                   "--shots", "2000", "--format", "json"],
-                 "bf3b1cd69dcdadd54a9541a1bf01b2bc32e20e2308b7b7d20300d12ef7d225da"),
+                 "a3291a8b379e4b7abed562286c2edc7743f028f16951207c5112e86fe8fffbdf"),
     "intercept": (["attack", "--kind", "intercept", "--shots", "20000", "--seed", "3"],
                   "07f87e0df381e4c40dc764c1ad21f34d54633b765e5edd956aa358474476dabb"),
     "intercept-resend": (["attack", "--kind", "intercept-resend", "--shots", "4096",
                           "--seed", "5"],
-                         "b95fdee546c19c9e0b404d696aec3aca7fa4b7516a39fc9543e99b0070acb30e"),
+                         "e99c3d34f1ca558701914794b9f12e0db644cdabcdbab33e5bbbf2d5fb93c89b"),
     # One draw covers 101 tap branches that end in the same state.
     "intercept-resend t=50": (["attack", "--kind", "intercept-resend", "--n", "60",
                                "--t", "50", "--d", "101", "--shots", "2000",
                                "--seed", "5"],
-                              "4be101d229c4fc1fdcc8cca0eeed4abe39761ef26b11f444f984cea690d54d5a"),
+                              "6b28d6ca450b3f329f37bf78c761bfe2b0314d45b96e40cd7ce02e85028a5618"),
     "collusion": (["attack", "--kind", "collusion", "--colluders", "2,3", "--seed", "7"],
                   "d5ce425f96675580ad73024a52c323f54316ff3acbfbbd2421736d5baeac940f"),
 }

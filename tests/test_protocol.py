@@ -205,8 +205,9 @@ def _weighted_tap(weights):
 @pytest.mark.parametrize("shots", [1, 100, 8192])
 @pytest.mark.parametrize("branches", [1, 2, 11, 121])
 def test_branch_draw_matches_rng_choice(branches, shots, monkeypatch):
-    # rng.choice is the oracle: the same branches, and the stream left where
-    # it leaves it, which is where the outcome draw starts.
+    # rng.multinomial is the oracle: the same shots in each branch, and the
+    # stream left where it leaves it, which is where the outcome draw starts.
+    # One branch takes every shot and draws nothing.
     weights = np.arange(1, branches + 1) / (branches * (branches + 1) / 2)
     at_sample = []
 
@@ -218,10 +219,12 @@ def test_branch_draw_matches_rng_choice(branches, shots, monkeypatch):
     phase = run_quantum_phase([5, 4, 7], 11, shots, np.random.default_rng(3),
                               _weighted_tap(weights.tolist()))
     oracle = np.random.default_rng(3)
-    want = oracle.choice(branches, size=shots, p=weights / weights.sum())
-    assert phase.branch.dtype == want.dtype
-    assert np.array_equal(phase.branch, want)
+    want = oracle.multinomial(shots, weights / weights.sum())
+    assert phase.counts.dtype == want.dtype
+    assert np.array_equal(phase.counts, want) and phase.counts.sum() == shots
     assert at_sample == [oracle.bit_generator.state]
+    if branches == 1:
+        assert at_sample == [np.random.default_rng(3).bit_generator.state]
 
 
 @pytest.mark.parametrize("weights", [[1.5, -0.5], [float("nan"), 1.0],
@@ -325,20 +328,21 @@ def test_tap_sees_the_one_send_to_slot_2(monkeypatch):
 
 
 def _per_branch_quantum_phase(shadows, d, shots, rng, tap):
-    """The quantum phase with one Fourier layer per tap branch, each shot's
-    branch from ``rng.choice``, then one coefficient draw for every shot in
-    shot order, shot j's digits offset + r_j @ basis mod d in its own
-    branch's state: the oracle for the shared layer and draw of
-    ``run_quantum_phase``."""
+    """The quantum phase with one Fourier layer per tap branch, the shots in
+    each branch from ``rng.multinomial``, then one coefficient draw for every
+    shot in shot order, the shots of branch 0 first: shot j's digits are
+    offset + r_j @ basis mod d in its own branch's state. The oracle for the
+    shared layer and draw of ``run_quantum_phase``."""
     ghz = affine.prepare_ghz(len(shadows), d)
     branches = [(1.0, None, ghz)] if tap is None else tap(ghz)
     states = [affine.fourier_shift(state, shadows) for _, _, state in branches]
     weights = np.array([weight for weight, _, _ in branches])
-    branch = rng.choice(len(weights), size=shots, p=weights / weights.sum())
+    counts = rng.multinomial(shots, weights / weights.sum())
     coeffs = rng.integers(0, d, size=(shots, len(states[0].basis)))
+    branch = np.repeat(np.arange(len(states)), counts)
     digits = np.array([(states[b].offset + r @ states[b].basis) % d
                        for b, r in zip(branch.tolist(), coeffs)], dtype=np.int64)
-    return digits, branch, [label for _, label, _ in branches]
+    return digits, counts, [label for _, label, _ in branches]
 
 
 def _copied(branches):
@@ -373,10 +377,10 @@ def test_run_quantum_phase_matches_per_branch_oracle(case):
     shadows, d, shots, seed, name = case
     tap = None if name is None else _LEG_TAPS[name]
     phase = run_quantum_phase(shadows, d, shots, np.random.default_rng(seed), tap=tap)
-    digits, branch, labels = _per_branch_quantum_phase(
+    digits, counts, labels = _per_branch_quantum_phase(
         shadows, d, shots, np.random.default_rng(seed), tap)
     np.testing.assert_array_equal(phase.digits, digits)
-    np.testing.assert_array_equal(phase.branch, branch)
+    np.testing.assert_array_equal(phase.counts, counts)
     assert phase.labels == labels
 
 
