@@ -81,10 +81,10 @@ def _counts_to_dist(counts: np.ndarray, shots: int) -> dict[str, float]:
     return {str(k): v / shots for k, v in enumerate(counts.tolist()) if v}
 
 
-def measure_leg(state: affine.AffineState) -> list[tuple[float, int, affine.AffineState]]:
-    """Both tap attacks' tap: measure the leg sent to slot 2, one branch per
+def measure_leg(state: affine.AffineState) -> tuple:
+    """Both tap attacks' tap: measure the leg sent to slot 2, one weight per
     digit, labelled by it, and pass the collapsed particle on."""
-    return affine.collapse_branches(state, TAP_POSITION)
+    return affine.collapse(state, TAP_POSITION)[:3]
 
 
 def _tap_report(kind: str, shots: int, counts: np.ndarray,
@@ -130,7 +130,7 @@ def intercept_and_measure(config: RunConfig,
     baseline.
     """
     if len(secret_pairs) < 2:
-        raise ValueError("need at least two secret tuples to compare")
+        raise ConfigError("need at least two secret tuples to compare")
     configs = [replace(config, secrets=pair).resolved() for pair in secret_pairs]
     d, shots = configs[0].d, configs[0].shots
     rng = np.random.default_rng(configs[0].seed)
@@ -138,10 +138,9 @@ def intercept_and_measure(config: RunConfig,
     pooled = np.zeros(d)
     for cfg in configs:
         deal(cfg, rng)  # draws the dealer polynomials, as a run would
-        branches = send_ghz(cfg.t, d, measure_leg)
+        weights, labels, _ = send_ghz(cfg.t, d, measure_leg)
         # Each digit's shots: whole numbers, exact in bincount's float64.
-        counts = np.bincount([label for _, label, _ in branches],
-                             branch_counts(branches, shots, rng), d)
+        counts = np.bincount(labels, branch_counts(weights, shots, rng), d)
         pooled += counts
         distributions[str(cfg.secrets)] = _counts_to_dist(counts, shots)
 
@@ -162,8 +161,8 @@ def intercept_resend(config: RunConfig | ResolvedConfig) -> AttackReport:
     and the downstream damage: the attacked run's aggregate spreads over
     Z_d while every honest shot sums to the secret total.
     """
-    # The attacker's digit labels each branch; the collapsed state is the
-    # "clone" particle sent onward.
+    # The attacker's digit labels each branch; the kept collapsed state is
+    # the "clone" particle sent onward.
     attacked = run_protocol(config, tap=measure_leg)
     d, shots = attacked.config.d, attacked.config.shots
     # Every honest shot sums to the shadows' sum, the secret total.

@@ -19,8 +19,8 @@ import numpy as np
 
 from .zmod import INT64_MODULUS_BOUND, is_prime, row_reduce
 
-# Tap branches held at once. Each holds O(t^2) integers; sharing one basis,
-# they share one Fourier layer and one sampler call.
+# Most outcomes a tap may return: one weight and one label each, beside the
+# one state they all share.
 BRANCH_GUARD = 2**12
 
 
@@ -40,7 +40,7 @@ class AffineState:
     ``offset`` has shape (t,) and ``basis`` shape (k, t) with independent
     rows, all entries int64 in [0, d). ``columns``, if known, is (unit, rest,
     rest basis): row j of the basis is 1 at column ``unit[j]`` and 0 at the
-    others in ``unit``. Immutable by convention: branches share arrays.
+    others in ``unit``. Immutable by convention: states share arrays.
     """
 
     __slots__ = ("d", "t", "offset", "basis", "columns")
@@ -54,7 +54,7 @@ class AffineState:
 
 
 def check_branches(count: int) -> None:
-    """Reject more tap branches than the guard holds at once."""
+    """Reject a tap with more outcomes (branches) than the guard allows."""
     if count > BRANCH_GUARD:
         raise DimensionGuardError(f"{count} tap branches exceed guard {BRANCH_GUARD}")
 
@@ -78,27 +78,24 @@ def _column(state: AffineState, position: int) -> int:
     return position - 1
 
 
-def collapse_branches(
-    state: AffineState, position: int
-) -> list[tuple[float, int, AffineState]]:
-    """Projective measurement of one qudit as weighted outcomes.
+def collapse(state: AffineState, position: int) -> tuple:
+    """Projective measurement of one qudit: (weights, digits, kept, pivot).
 
-    Returns (1/d, digit, collapsed state) for every digit when the support
-    varies the qudit, else one (1.0, digit, state). The d collapsed states
-    share one basis: the subspace of V that fixes the qudit.
-    """
+    If the support varies the qudit, each digit c has weight 1/d and leaves
+    ``kept`` (digit 0's state) with offset ``kept.offset + c * pivot`` mod d:
+    every digit shares one basis, the subspace of V that fixes the qudit. Else
+    the one digit has weight 1.0, ``kept`` is ``state`` and ``pivot`` None."""
     d, col = state.d, _column(state, position)
     rows = np.flatnonzero(state.basis[:, col])
     if rows.size == 0:
-        return [(1.0, int(state.offset[col]), state)]
+        return [1.0], [int(state.offset[col])], state, None
     check_branches(d)
     # Scale one row to 1 at the qudit and clear the qudit from the others.
     pivot = state.basis[rows[0]] * pow(int(state.basis[rows[0], col]), -1, d) % d
     rest = np.delete(state.basis, rows[0], axis=0)
     rest = (rest - rest[:, col:col + 1] * pivot) % d
-    base = (state.offset - state.offset[col] * pivot) % d  # digit 0 at the qudit
-    offsets = (base + np.arange(d)[:, None] * pivot) % d  # row c: digit c at the qudit
-    return [(1.0 / d, c, AffineState(d, offset, rest)) for c, offset in enumerate(offsets)]
+    kept = (state.offset - state.offset[col] * pivot) % d  # digit 0 at the qudit
+    return np.full(d, 1.0 / d), range(d), AffineState(d, kept, rest), pivot
 
 
 def _dual(basis: np.ndarray, d: int) -> tuple[np.ndarray, list[int], list[int]]:
@@ -121,6 +118,17 @@ def fourier_shift(state: AffineState, shadows) -> AffineState:
     offset = np.array(shadows, dtype=np.int64) % state.d
     basis, free, pivots = _dual(state.basis, state.d)
     return AffineState(state.d, offset, basis, (free, pivots, basis[:, pivots]))
+
+
+def is_summation_coset(state: AffineState, total: int) -> bool:
+    """Whether the support of ``state``, built by ``fourier_shift``, is exactly
+    {x : sum(x) = total mod d}: rank t - 1 (the identity on the free columns in
+    ``columns``), every row summing to 0 mod d and the offset to ``total``."""
+    free = state.columns[0]
+    return (len(free) == state.t - 1
+            and np.array_equal(state.basis[:, free], np.eye(len(free)))
+            and not (state.basis.sum(axis=1) % state.d).any()
+            and int(state.offset.sum()) % state.d == total % state.d)
 
 
 def sample(state: AffineState, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from . import affine
 from .adversary import collusion_inference, dealt_shares, intercept_and_measure, intercept_resend
 from .affine import DimensionGuardError
-from .protocol import ConfigError, RunConfig, post_transform_branches, run_protocol
+from .protocol import ConfigError, RunConfig, post_transform, run_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -198,17 +198,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for s in shadows:
         if not 0 <= s < d:
             raise ConfigError(f"shadow {s} outside [0, {d})")
+    if d >= affine.INT64_MODULUS_BOUND:  # no exact int64 check; d^t is past the dense guard
+        qudit.check_guard(d, t)
+    # The protocol's own exact check at any t, then the dense one where d^t fits.
+    _, _, outcomes = post_transform(shadows, d)
+    exact = affine.is_summation_coset(outcomes, sum(shadows))
+    print(f"exact coset check: {'passed' if exact else 'FAILED'}")
     state = qudit.post_transform_state(shadows, d)
     analytic = qudit.analytic_post_transform_state(t, d, shadows)
     max_diff = float(np.max(np.abs(state.amplitudes - analytic.amplitudes)))
     support = int(np.sum(np.abs(state.amplitudes) > 1e-12))
     # The protocol's own engine must put its outcomes on the same support.
-    [(_, _, outcomes)] = post_transform_branches(shadows, d)
     same_support = np.array_equal(affine.support_mask(outcomes),
                                   np.abs(analytic.amplitudes) > 1e-12)
     print(f"max amplitude difference: {max_diff:.3e}")
     print(f"support size: {support} (expected {d ** (t - 1)})")
-    ok = max_diff <= 1e-9 and support == d ** (t - 1) and same_support
+    ok = exact and max_diff <= 1e-9 and support == d ** (t - 1) and same_support
     print("verification passed" if ok else "verification FAILED")
     return EXIT_OK if ok else EXIT_VERIFY
 

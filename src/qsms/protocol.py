@@ -30,10 +30,11 @@ from .zmod import FieldElement, is_prime, lagrange_weights, residues, smallest_v
 # The send a tap sees: the initiator's particle to slot 2. The GHZ legs are
 # symmetric, and every t >= 2 has this one.
 TAP_POSITION = 2
-# Middleware hook on that send: state -> [(probability, label, state), ...],
-# the branches the send turns into, with probabilities summing to 1 and one
-# shared basis. [(1.0, None, state)] passes the state on; the honest path has none.
-QuantumTap = Callable[[AffineState], list[tuple[float, Hashable, AffineState]]]
+# Middleware hook on that send: state -> (weights, labels, kept), one probability
+# (summing to 1) and one label per outcome, and the one state every outcome leaves
+# up to an offset, which the Fourier layer turns into phases. ([1.0], [None],
+# state) passes the state on; the honest path has no tap.
+QuantumTap = Callable[[AffineState], tuple[Sequence[float], Sequence[Hashable], AffineState]]
 
 # Most outcome digits (shots x t) a run may hold: 16 to 64 MiB in
 # ``digit_dtype(d)``, before the transcript writes them as text in blocks.
@@ -280,42 +281,33 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
     return PreparedRun(config, rows, combined.tolist(), shadows)
 
 
-def send_ghz(t: int, d: int, tap: QuantumTap | None = None
-             ) -> list[tuple[float, Hashable, AffineState]]:
+def send_ghz(t: int, d: int, tap: QuantumTap | None = None) -> tuple:
     """Step 4: the initiator prepares the GHZ state and, when t >= 2, sends the
-    leg to ``TAP_POSITION`` through ``tap``. Returns the tap's branches, which
-    must share one basis (else ``ValueError``), or, untapped, [(1.0, None, GHZ)].
-    """
+    leg to ``TAP_POSITION`` through ``tap``. Returns the tap's (weights, labels,
+    kept), one label per weight (else ``ValueError``), or ([1.0], [None], GHZ)."""
     ghz = affine.prepare_ghz(t, d)
     if tap is None or t < TAP_POSITION:
-        return [(1.0, None, ghz)]
-    branches = tap(ghz)
-    affine.check_branches(len(branches))
-    if not branches:
-        raise ValueError("tap returned no branches")
-    basis = branches[0][2].basis
-    if not all(state.basis is basis or np.array_equal(state.basis, basis)
-               for _, _, state in branches):
-        raise ValueError("tap branches must share one basis")
-    return branches
+        return [1.0], [None], ghz
+    weights, labels, kept = tap(ghz)
+    affine.check_branches(len(weights))
+    if len(labels) != len(weights):
+        raise ValueError(f"tap returned {len(weights)} weights but {len(labels)} labels")
+    return weights, labels, kept
 
 
-def post_transform_branches(
-    shadows: Sequence[int], d: int, tap: QuantumTap | None = None
-) -> list[tuple[float, Hashable, AffineState]]:
-    """Steps 4-5: ``send_ghz``'s branches, each holding the one state the QFT
-    and X^{shadow_u} in every slot u turn them into."""
-    branches = send_ghz(len(shadows), d, tap)
-    shifted = affine.fourier_shift(branches[0][2], shadows)
-    return [(weight, label, shifted) for weight, label, _ in branches]
+def post_transform(shadows: Sequence[int], d: int, tap: QuantumTap | None = None) -> tuple:
+    """Steps 4-5: ``send_ghz``'s weights and labels, and the one state the QFT
+    and X^{shadow_u} in every slot u turn its kept state into."""
+    weights, labels, kept = send_ghz(len(shadows), d, tap)
+    return weights, labels, affine.fourier_shift(kept, shadows)
 
 
-def branch_counts(branches: list, shots: int, rng: np.random.Generator) -> np.ndarray:
+def branch_counts(weights, shots: int, rng: np.random.Generator) -> np.ndarray:
     """How many of ``shots`` fall in each tap branch, from one
     ``rng.multinomial`` of the branches' probabilities, which must be finite,
-    non-negative and sum to 1 (else ``ValueError``). One branch takes every
-    shot and draws nothing from ``rng``."""
-    weights = np.array([weight for weight, _, _ in branches])
+    non-negative and sum to 1 (else ``ValueError``: so does a tap with no
+    branches). One branch takes every shot and draws nothing from ``rng``."""
+    weights = np.asarray(weights, dtype=float)
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise ValueError("tap branch probabilities must be finite and non-negative")
     total = weights.sum()
@@ -350,18 +342,12 @@ def run_quantum_phase(
     ``tap`` intercepts the initiator's send to ``TAP_POSITION`` before any
     QFT is applied; it is how adversaries are wired in.
     """
-    branches = post_transform_branches(shadows, d, tap)
-    # Honest, before any draw: support exactly {x : Σx ≡ Σ shadows}, as the basis has
-    # rank t - 1 (identity on its free columns), rows summing to 0 and offset to Σ shadows.
-    state, free = branches[0][2], branches[0][2].columns[0]
-    if tap is None and (len(free) != len(shadows) - 1
-                        or not np.array_equal(state.basis[:, free], np.eye(len(free)))
-                        or (state.basis.sum(axis=1) % d).any()
-                        or int(state.offset.sum()) % d != sum(shadows) % d):
+    weights, labels, state = post_transform(shadows, d, tap)
+    # Honest, before any draw: the support is exactly {x : Σx ≡ Σ shadows}.
+    if tap is None and not affine.is_summation_coset(state, sum(shadows)):
         raise AssertionError("honest post-transform state is not the summation coset")
-    counts = branch_counts(branches, shots, rng)  # first: the digit draw follows it
-    return PhaseOutcomes(affine.sample(state, shots, rng), counts,
-                         [label for _, label, _ in branches])
+    counts = branch_counts(weights, shots, rng)  # first: the digit draw follows it
+    return PhaseOutcomes(affine.sample(state, shots, rng), counts, list(labels))
 
 
 def aggregate(digits: np.ndarray, d: int) -> np.ndarray:

@@ -14,8 +14,9 @@ from qsms.adversary import (
     tv_distance,
     uniformity_bound,
 )
-from qsms.affine import AffineState, collapse_branches, support_mask
-from qsms.protocol import ConfigError, RunConfig, post_transform_branches, run_protocol
+from qsms.adversary import measure_leg
+from qsms.affine import AffineState, support_mask
+from qsms.protocol import ConfigError, RunConfig, post_transform, run_protocol
 from qsms.qudit import prepare_ghz
 from qsms.shamir import Share
 from qsms.zmod import FieldElement
@@ -73,9 +74,13 @@ def test_intercept_observes_the_state_the_protocol_sends(monkeypatch):
     assert report.guess_rate == 1.0
 
 
-def test_intercept_requires_two_pairs():
-    with pytest.raises(ValueError, match="two secret"):
-        intercept_and_measure(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=10), [(2, 3)])
+def test_intercept_requires_two_pairs(capsys):
+    # The Python API raises the ConfigError whose line the CLI prints, exit 2.
+    for pairs in ([], [(2, 3)]):
+        with pytest.raises(ConfigError, match="^need at least two secret tuples to compare$"):
+            intercept_and_measure(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=10), pairs)
+    assert cli.main(["attack", "--kind", "intercept", "--secret-pairs", "2,3"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: need at least two secret tuples to compare\n"
 
 
 def exact_attacked_aggregate(d, t, shadows):
@@ -102,12 +107,11 @@ def test_collapse_branches_aggregate_equals_exact_oracle(d):
     # Exact, no sampling: weight each branch's post-transform distribution
     # and fold it onto the aggregate digit sum.
     shadows = (1, d - 1)
-    branches = post_transform_branches(shadows, d,
-                                       tap=lambda state: collapse_branches(state, 2))
-    assert [label for _, label, _ in branches] == list(range(d))
-    weights = np.array([weight for weight, _, _ in branches])
+    weights, labels, state = post_transform(shadows, d, tap=measure_leg)
+    assert list(labels) == list(range(d))
     np.testing.assert_allclose(weights, np.full(d, 1 / d), atol=1e-12)
-    joint = sum(w * support_mask(s) / support_mask(s).sum() for w, _, s in branches)
+    # Every branch ends in the one post-transform state.
+    joint = sum(w * support_mask(state) / support_mask(state).sum() for w in weights)
     sums = np.add.outer(np.arange(d), np.arange(d)).reshape(-1) % d
     dist = np.bincount(sums, weights=joint, minlength=d)
     oracle = exact_attacked_aggregate(d, 2, shadows)
@@ -125,8 +129,7 @@ def test_tap_collapse_matches_exact_oracle_d2():
     rng = np.random.default_rng(3)
 
     shots = 4000
-    outcomes = run_quantum_phase([1, 1], 2, shots, rng,
-                                 tap=lambda state: collapse_branches(state, 2))
+    outcomes = run_quantum_phase([1, 1], 2, shots, rng, tap=measure_leg)
     counts = Counter(sum(o) % 2 for o in outcomes.digits.tolist())
     empirical = {str(k): v / shots for k, v in counts.items()}
     oracle = {str(k): v for k, v in exact_attacked_aggregate(2, 2, (1, 1)).items()}
@@ -177,9 +180,9 @@ def test_tap_attacks_draw_through_the_protocol_once_per_run(kind, monkeypatch):
     # once for the attacked run. The eavesdropper's digits count every shot.
     draws = []
 
-    def recorded(branches, shots, rng, original=protocol.branch_counts):
-        assert [label for _, label, _ in branches] == list(range(11))
-        draws.append(original(branches, shots, rng))
+    def recorded(weights, shots, rng, original=protocol.branch_counts):
+        np.testing.assert_allclose(weights, np.full(11, 1 / 11), rtol=0, atol=1e-15)
+        draws.append(original(weights, shots, rng))
         return draws[-1]
 
     monkeypatch.setattr(protocol, "branch_counts", recorded)
@@ -195,6 +198,22 @@ def test_tap_attacks_draw_through_the_protocol_once_per_run(kind, monkeypatch):
     for counts, dist in zip(draws, seen):
         assert counts.sum() == 3000
         assert dist == {str(k): c / 3000 for k, c in enumerate(counts.tolist()) if c}
+
+
+def test_intercept_resend_builds_three_states(monkeypatch):
+    # The GHZ state, the one state the collapse keeps, and the post-transform
+    # state: no state per digit.
+    built = []
+
+    class Recorded(AffineState):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(affine, "AffineState", Recorded)
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=4096, seed=6)
+    assert intercept_resend(cfg).passed
+    assert len(built) == 3
 
 
 def _margin_reports():
@@ -230,7 +249,7 @@ def test_negative_margin_fails_the_report(bound, monkeypatch):
 def test_no_tap_control_identical_to_honest():
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16, seed=7)
     honest = run_protocol(cfg)
-    controlled = run_protocol(cfg, tap=lambda state: [(1.0, None, state)])
+    controlled = run_protocol(cfg, tap=lambda state: ([1.0], [None], state))
     assert controlled.to_json() == honest.to_json()
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsms import affine, qudit
-from qsms.protocol import post_transform_branches
+from qsms.protocol import post_transform
 
 # Every shape the dense oracle holds cheaply, d=2 and t=1 included.
 SHAPES = [(d, t) for d in (2, 3, 5, 7, 11, 13) for t in range(1, 13) if d**t <= 4096]
@@ -25,13 +25,21 @@ def dense_branches(shadows, d, collapse):
     return branches, marginals
 
 
+def collapse_branches(state, position):
+    """``affine.collapse`` as one (weight, digit, collapsed state) per digit:
+    digit c's state is the kept one with offset ``kept.offset + c * pivot``."""
+    weights, digits, kept, pivot = affine.collapse(state, position)
+    if pivot is None:
+        return [(weights[0], digits[0], kept)]
+    return [(w, c, affine.AffineState(kept.d, (kept.offset + c * pivot) % kept.d, kept.basis))
+            for w, c in zip(weights, digits)]
+
+
 def collapse_marginal(state, position):
     """One qudit's computational-basis distribution on the affine engine:
-    each ``collapse_branches`` weight scattered to its digit over Z_d."""
-    marginal = np.zeros(state.d)
-    for weight, digit, _ in affine.collapse_branches(state, position):
-        marginal[digit] += weight
-    return marginal
+    each ``collapse`` weight scattered to its digit over Z_d."""
+    weights, digits, _, _ = affine.collapse(state, position)
+    return np.bincount(digits, weights, state.d)
 
 
 def _assert_same_branches(branches, oracle):
@@ -54,15 +62,20 @@ def test_affine_engine_matches_dense_engine(data):
     d, t = data.draw(st.sampled_from(SHAPES))
     shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
     collapse = data.draw(st.booleans())
-    marginals = []
+    marginals, sent = [], []
 
     def tap(state):
         marginals.append(collapse_marginal(state, 2))
-        return affine.collapse_branches(state, 2) if collapse else [(1.0, None, state)]
+        sent.append(state)
+        return affine.collapse(state, 2)[:3] if collapse else ([1.0], [None], state)
 
-    branches = post_transform_branches(shadows, d, tap)
+    weights, labels, shifted = post_transform(shadows, d, tap)
     oracle, oracle_marginals = dense_branches(shadows, d, collapse)
-    _assert_same_branches(branches, oracle)
+    # Every branch ends in the one post-transform state.
+    _assert_same_branches([(w, lb, shifted) for w, lb in zip(weights, labels)], oracle)
+    if collapse and sent:  # each digit's collapsed state, before the Fourier layer
+        _assert_same_branches(collapse_branches(sent[0], 2),
+                              qudit.collapse_branches(qudit.prepare_ghz(len(shadows), d), 2))
     assert len(marginals) == len(oracle_marginals)
     for got, want in zip(marginals, oracle_marginals):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -84,7 +97,7 @@ def _collapse_each(branches, collapse, position):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_collapses_in_sequence_match_dense_engine(data):
-    """``collapse_branches`` and its weights by digit at every position,
+    """``collapse`` and its weights by digit at every position,
     one collapse after another, from the GHZ state or from its post-transform
     state, against their dense oracles."""
     d, t = data.draw(st.sampled_from(SHAPES))
@@ -93,7 +106,7 @@ def test_collapses_in_sequence_match_dense_engine(data):
     oracle = [(1.0, (), qudit.prepare_ghz(t, d))]
     if data.draw(st.booleans()):
         shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
-        branches = [(w, (), s) for w, _, s in post_transform_branches(shadows, d)]
+        branches = [(1.0, (), post_transform(shadows, d)[2])]
         oracle = [(w, (), s) for w, _, s in dense_branches(shadows, d, collapse=False)[0]]
     for position in [*positions, None]:
         for (_, _, state), (_, _, dense) in zip(branches, oracle):
@@ -102,7 +115,7 @@ def test_collapses_in_sequence_match_dense_engine(data):
                                            qudit.marginal_distribution(dense, at),
                                            rtol=0, atol=1e-12)
         if position is not None:
-            branches = _collapse_each(branches, affine.collapse_branches, position)
+            branches = _collapse_each(branches, collapse_branches, position)
             oracle = _collapse_each(oracle, _dense_collapse, position)
             _assert_same_branches(branches, oracle)
 

@@ -99,6 +99,15 @@ def test_guard_violation_exit_code():
                  "--shadows", "0,0,0,0,0,0,0,0"]) == EXIT_GUARD
 
 
+def test_verify_prints_the_exact_verdict_beyond_the_dense_guard(capsys):
+    # 13^8 amplitudes exceed the dense guard; the exact check needs none.
+    assert main(["verify", "--d", "13", "--t", "8",
+                 "--shadows", "0,0,0,0,0,0,0,0"]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == "exact coset check: passed\n"
+    assert captured.err.startswith("error: state dimension")
+
+
 def test_verify_paper_shadows(capsys):
     assert main(["verify", "--d", "11", "--t", "3",
                  "--shadows", "5,4,7"]) == EXIT_OK

@@ -20,13 +20,14 @@ from qsms.protocol import (
     aggregate,
     combine,
     deal,
-    post_transform_branches,
+    post_transform,
     prepare_run,
     run_protocol,
     run_quantum_phase,
 )
 from qsms import affine, cli, protocol, qudit, shamir, zmod
-from qsms.affine import DimensionGuardError, collapse_branches, support_mask
+from qsms.adversary import measure_leg
+from qsms.affine import DimensionGuardError, support_mask
 from qsms.qudit import analytic_post_transform_state
 from qsms.shamir import (
     Polynomial,
@@ -182,7 +183,7 @@ def test_run_path_stays_off_the_dense_engine(monkeypatch):
             monkeypatch.setattr(qudit, name, refuse)
     assert run_protocol(PAPER_CONFIG).result == 5
 
-    tapped = run_protocol(PAPER_CONFIG, tap=lambda state: collapse_branches(state, 2))
+    tapped = run_protocol(PAPER_CONFIG, tap=measure_leg)
     assert sorted(set(tapped.tap_labels)) == list(range(11))
     for argv in (["--kind", "intercept"], ["--kind", "intercept-resend"],
                  ["--kind", "collusion", "--colluders", "1,2"]):
@@ -191,14 +192,14 @@ def test_run_path_stays_off_the_dense_engine(monkeypatch):
 
 def test_tap_probabilities_must_sum_to_one():
     with pytest.raises(ValueError, match=r"^tap branch probabilities sum to 0.25, not 1$"):
-        run_protocol(PAPER_CONFIG, tap=lambda state: [(0.25, None, state)])
+        run_protocol(PAPER_CONFIG, tap=lambda state: ([0.25], [None], state))
 
 
 def _weighted_tap(weights):
     """A tap that splits the send to slot 2 into one branch per weight, every
     branch passing the state on unchanged."""
     def tap(state):
-        return [(w, i, state) for i, w in enumerate(weights)]
+        return weights, list(range(len(weights))), state
     return tap
 
 
@@ -265,11 +266,16 @@ SMALL_SHAPES = [(d, t) for d in (2, 3, 5, 7, 11, 13) for t in range(1, 13)
 def test_sampled_distribution_matches_analytic_state(data):
     d, t = data.draw(st.sampled_from(SMALL_SHAPES))
     shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
-    [(weight, label, state)] = post_transform_branches(shadows, d)
+    weights, labels, state = post_transform(shadows, d)
     support = support_mask(state)
     analytic = np.abs(analytic_post_transform_state(t, d, shadows).amplitudes) ** 2
-    assert weight == 1.0 and label is None
+    assert list(weights) == [1.0] and list(labels) == [None]
     np.testing.assert_allclose(support / support.sum(), analytic, rtol=0, atol=1e-9)
+    # The exact check is the support's own criterion: the summation coset.
+    digit_sums = np.indices((d,) * t).reshape(t, -1).sum(axis=0) % d
+    assert np.array_equal(support, digit_sums == sum(shadows) % d)
+    assert affine.is_summation_coset(state, sum(shadows))
+    assert not affine.is_summation_coset(state, sum(shadows) + 1)
     digits = run_quantum_phase(shadows, d, 64, np.random.default_rng(d * t)).digits
     assert digits.shape == (64, t)
     assert (digits.sum(axis=1) % d == sum(shadows) % d).all()
@@ -282,7 +288,7 @@ def test_tap_branches_count_against_guard(monkeypatch):
 
     def tap(state):
         calls.append(state)
-        return [(1 / 4097, k, state) for k in range(4097)]
+        return [1 / 4097] * 4097, range(4097), state
 
     with pytest.raises(DimensionGuardError, match="^4097 tap branches exceed guard 4096$"):
         run_quantum_phase([0] * 3, 2, 8, np.random.default_rng(0), tap=tap)
@@ -300,7 +306,7 @@ def test_collapse_beyond_guard_is_refused_before_its_branches_are_built(monkeypa
 
     monkeypatch.setattr(affine, "AffineState", Recorded)
     with pytest.raises(DimensionGuardError, match="^11 tap branches exceed guard 10$"):
-        post_transform_branches([0] * 3, 11, tap=lambda state: collapse_branches(state, 2))
+        post_transform([0] * 3, 11, tap=measure_leg)
     assert len(built) == 1  # the GHZ state alone
 
 
@@ -315,7 +321,7 @@ def test_tap_sees_the_one_send_to_slot_2(monkeypatch):
 
     def tap(state):
         calls.append(state)
-        return [(0.25, "kept", state), (0.75, "again", state)]
+        return [0.25, 0.75], ["kept", "again"], state
 
     monkeypatch.setattr(affine, "prepare_ghz", prepare_ghz)
     cfg = RunConfig(secrets=(1, 2), n=7, t=5, d=11, shots=64, seed=3)
@@ -327,14 +333,14 @@ def test_tap_sees_the_one_send_to_slot_2(monkeypatch):
     assert len(calls) == 1 and phase.labels == [None]
 
 
-def _per_branch_quantum_phase(shadows, d, shots, rng, tap):
+def _per_branch_quantum_phase(shadows, d, shots, rng, branches):
     """The quantum phase with one Fourier layer per tap branch, the shots in
     each branch from ``rng.multinomial``, then one coefficient draw for every
     shot in shot order, the shots of branch 0 first: shot j's digits are
-    offset + r_j @ basis mod d in its own branch's state. The oracle for the
-    shared layer and draw of ``run_quantum_phase``."""
-    ghz = affine.prepare_ghz(len(shadows), d)
-    branches = [(1.0, None, ghz)] if tap is None else tap(ghz)
+    offset + r_j @ basis mod d in its own branch's state. ``branches`` maps
+    the GHZ state to one (probability, label, state) per branch. The oracle
+    for the shared layer and draw of ``run_quantum_phase``."""
+    branches = branches(affine.prepare_ghz(len(shadows), d))
     states = [affine.fourier_shift(state, shadows) for _, _, state in branches]
     weights = np.array([weight for weight, _, _ in branches])
     counts = rng.multinomial(shots, weights / weights.sum())
@@ -345,16 +351,19 @@ def _per_branch_quantum_phase(shadows, d, shots, rng, tap):
     return digits, counts, [label for _, label, _ in branches]
 
 
-def _copied(branches):
-    """The branches with equal but distinct basis arrays."""
-    return [(p, label, affine.AffineState(s.d, s.offset, s.basis.copy()))
-            for p, label, s in branches]
+def _collapsed_legs(state):
+    """``measure_leg``'s outcomes as one branch per digit, each with its own
+    collapsed state: the kept state's offset plus the digit times the pivot."""
+    weights, digits, kept, pivot = affine.collapse(state, 2)
+    return [(w, c, affine.AffineState(state.d, (kept.offset + c * pivot) % state.d,
+                                      kept.basis))
+            for w, c in zip(weights, digits)]
 
 
-# Taps on the send to slot 2: collapse, or collapse into distinct basis arrays.
+# Taps on the send to slot 2, each with its branches, one state per branch.
 _LEG_TAPS = {
-    "collapse": lambda state: collapse_branches(state, 2),
-    "copies": lambda state: _copied(collapse_branches(state, 2)),
+    None: (None, lambda state: [(1.0, None, state)]),
+    "collapse": (measure_leg, _collapsed_legs),
 }
 
 
@@ -365,39 +374,35 @@ def _tapped_phases(draw):
     d = draw(st.sampled_from([2, *_ODD_PRIMES]))
     t = draw(st.integers(2, 5))
     shadows = draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
-    tap = draw(st.sampled_from([None, *_LEG_TAPS]))
+    tap = draw(st.sampled_from(list(_LEG_TAPS)))
     return shadows, d, draw(st.integers(1, 300)), draw(st.integers(0, 2**32)), tap
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_tapped_phases())
 @example(case=([5, 4, 7], 11, 300, 1, "collapse"))  # intercept-resend's tap
-@example(case=([5, 4, 7], 11, 300, 1, "copies"))
 def test_run_quantum_phase_matches_per_branch_oracle(case):
     shadows, d, shots, seed, name = case
-    tap = None if name is None else _LEG_TAPS[name]
+    tap, branches = _LEG_TAPS[name]
     phase = run_quantum_phase(shadows, d, shots, np.random.default_rng(seed), tap=tap)
     digits, counts, labels = _per_branch_quantum_phase(
-        shadows, d, shots, np.random.default_rng(seed), tap)
+        shadows, d, shots, np.random.default_rng(seed), branches)
     np.testing.assert_array_equal(phase.digits, digits)
     np.testing.assert_array_equal(phase.counts, counts)
     assert phase.labels == labels
 
 
-def test_tap_branches_must_share_one_basis():
-    # Passing with probability 1/2 and collapsing otherwise leaves branches in
-    # two bases; the run is refused before anything is drawn.
-    def mixed(state):
-        return [(0.5, "pass", state)] + [
-            (p / 2, label, out) for p, label, out in collapse_branches(state, 2)]
-
+def test_tap_labels_must_match_its_weights():
+    # One label per weight; a tap with none of either is refused too, by the
+    # weights' sum. Both before anything is drawn.
     rng = np.random.default_rng(2)
     before = rng.bit_generator.state
-    with pytest.raises(ValueError, match="^tap branches must share one basis$"):
-        run_quantum_phase([1, 2, 3, 4], 5, 300, rng, tap=mixed)
+    with pytest.raises(ValueError, match="^tap returned 2 weights but 1 labels$"):
+        run_quantum_phase([1, 2, 3, 4], 5, 300, rng,
+                          tap=lambda state: ([0.5, 0.5], ["pass"], state))
     assert rng.bit_generator.state == before
-    with pytest.raises(ValueError, match="^tap returned no branches$"):
-        run_quantum_phase([1, 2, 3, 4], 5, 300, rng, tap=lambda state: [])
+    with pytest.raises(ValueError, match="^tap branch probabilities sum to 0.0, not 1$"):
+        run_quantum_phase([1, 2, 3, 4], 5, 300, rng, tap=lambda state: ([], [], state))
     assert rng.bit_generator.state == before
 
 
@@ -428,11 +433,13 @@ def _unbalanced_row(state, shadows, original=affine.fourier_shift):
 @pytest.mark.parametrize("name, mutant", [("_dual", _short_dual),
                                           ("fourier_shift", _shifted_offset),
                                           ("fourier_shift", _unbalanced_row)])
-def test_honest_run_checks_the_summation_coset_before_drawing(name, mutant, monkeypatch):
+def test_honest_run_checks_the_summation_coset_before_drawing(name, mutant, monkeypatch,
+                                                              capsys):
     # The sampled check passes each mutant at 1 shot, and the first two at
     # any count: the short dual keeps the result (5) on 11 of the 121 coset
     # rows, the shifted offset gives 6. The exact check fails each at 1 shot.
     monkeypatch.setattr(affine, name, mutant)
+    assert not affine.is_summation_coset(post_transform([5, 4, 7], 11)[2], 16)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(AssertionError,
@@ -441,6 +448,9 @@ def test_honest_run_checks_the_summation_coset_before_drawing(name, mutant, monk
     assert rng.bit_generator.state == before
     with pytest.raises(AssertionError, match="summation coset"):
         run_protocol(replace(PAPER_CONFIG, shots=1))
+    # qsms verify prints the same exact verdict.
+    assert cli.main(["verify", "--d", "11", "--t", "3", "--shadows", "5,4,7"]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().out.startswith("exact coset check: FAILED\n")
 
 
 @pytest.mark.parametrize("n, t, d", [(60, 50, 101), (200, 150, 211), (300, 300, 307)])
@@ -586,11 +596,7 @@ def _transcripts(draw):
     secrets = tuple(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3)))
     cfg = RunConfig(secrets=secrets, n=n, t=t, d=d, shots=draw(st.integers(1, 300)),
                     seed=draw(st.integers(0, 2**32)), allow_out_of_range_prime=True)
-
-    def tap(state):
-        return collapse_branches(state, 2)
-
-    return run_protocol(cfg, tap=tap if tapped else None)
+    return run_protocol(cfg, tap=measure_leg if tapped else None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -624,11 +630,8 @@ _BLOCK = protocol.SHOTS_PER_BLOCK
 def test_write_json_to_a_file_matches_stdlib_encoder(shots, tapped, tmp_path):
     """The streamed writer's bytes on either side of each block boundary,
     with and without a tap whose per-shot sums vary."""
-    def tap(state):
-        return collapse_branches(state, 2)
-
     transcript = run_protocol(RunConfig(secrets=(4, 9), n=7, t=3, d=11, shots=shots,
-                                        seed=shots), tap=tap if tapped else None)
+                                        seed=shots), tap=measure_leg if tapped else None)
     path = tmp_path / "transcript.json"
     with open(path, "w") as fh:
         transcript.write_json(fh)
