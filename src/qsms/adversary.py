@@ -129,6 +129,7 @@ def intercept_and_measure(config: RunConfig,
     uniform) and the attacker's best-guess success rate against the 1/d
     baseline.
     """
+    secret_pairs = _sequence("secret_pairs", secret_pairs, _sequence)
     if len(secret_pairs) < 2:
         raise ConfigError("need at least two secret tuples to compare")
     configs = [replace(config, secrets=pair).resolved() for pair in secret_pairs]

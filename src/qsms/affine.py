@@ -17,16 +17,11 @@ import operator
 
 import numpy as np
 
-from .zmod import INT64_MODULUS_BOUND, is_prime, row_reduce
+from .zmod import DimensionGuardError, check_int64_modulus, is_prime, row_reduce
 
 # Most outcomes a tap may return: one weight and one label each, beside the
 # one state they all share.
 BRANCH_GUARD = 2**12
-
-
-class DimensionGuardError(ValueError):
-    """Raised when a run would exceed an in-memory guard: tap branches,
-    outcome entries, share messages, or the dense engine's d^t amplitudes."""
 
 
 def digit_dtype(d: int) -> np.dtype:
@@ -65,10 +60,7 @@ def prepare_ghz(t: int, d: int) -> AffineState:
         raise ValueError("qudit count must be >= 1")
     if not is_prime(d):
         raise ValueError(f"qudit dimension {d} must be prime")
-    if d >= INT64_MODULUS_BOUND:
-        raise DimensionGuardError(
-            f"qudit dimension {d} >= 2^31, beyond exact int64 arithmetic"
-        )
+    check_int64_modulus(d)
     return AffineState(d, np.zeros(t, dtype=np.int64), np.ones((1, t), dtype=np.int64))
 
 

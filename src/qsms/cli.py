@@ -22,8 +22,8 @@ import numpy as np
 
 from . import affine
 from .adversary import collusion_inference, dealt_shares, intercept_and_measure, intercept_resend
-from .affine import DimensionGuardError
 from .protocol import ConfigError, RunConfig, post_transform, run_protocol
+from .zmod import INT64_MODULUS_BOUND, DimensionGuardError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,14 +92,17 @@ def _config_from_args(args: argparse.Namespace, base) -> RunConfig:
 
 
 def _render_table(transcript) -> str:
+    """The share table, each column as wide as its widest text plus one space,
+    then the shadows and the result."""
     cfg = transcript.config
-    lines = []
-    header = "Players   " + "".join(f"P{i:<5}" for i in range(1, cfg.n + 1))
-    lines.append(header)
-    for k, row in enumerate(transcript.dealer_rows.tolist()):
-        label = f"poly_{k + 1}(x_i)"
-        lines.append(f"{label:<10}" + "".join(f"{v:<6}" for v in row))
-    lines.append(f"{'h(x_i)':<10}" + "".join(f"{v:<6}" for v in transcript.combined))
+    rows = [["Players", *(f"P{i}" for i in range(1, cfg.n + 1))],
+            *([f"poly_{k}(x_i)", *map(str, row)]
+              for k, row in enumerate(transcript.dealer_rows.tolist(), start=1)),
+            ["h(x_i)", *map(str, transcript.combined)]]
+    label_width = max(len(row[0]) for row in rows) + 1
+    cell_width = max(len(cell) for row in rows for cell in row[1:]) + 1
+    lines = [row[0].ljust(label_width) + "".join(c.ljust(cell_width) for c in row[1:])
+             for row in rows]
     lines.append(f"shadows (qualified set {list(cfg.qualified)}): {transcript.shadows}")
     lines.append(
         f"result: {transcript.result}  (binary {transcript.result_binary})"
@@ -198,7 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for s in shadows:
         if not 0 <= s < d:
             raise ConfigError(f"shadow {s} outside [0, {d})")
-    if d >= affine.INT64_MODULUS_BOUND:  # no exact int64 check; d^t is past the dense guard
+    if d >= INT64_MODULUS_BOUND:  # no exact int64 check; d^t is past the dense guard
         qudit.check_guard(d, t)
     # The protocol's own exact check at any t, then the dense one where d^t fits.
     _, _, outcomes = post_transform(shadows, d)

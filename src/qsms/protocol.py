@@ -20,12 +20,13 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import affine
-from .affine import AffineState, DimensionGuardError, digit_dtype
+from .affine import AffineState, digit_dtype
 from .shamir import Share, Shadow
 # Not called here: perfbench/tracer.py patches these names in this module
 # until it is rebuilt on spans (ROADMAP item 1).
 from .shamir import add_shares, compute_shadow, generate_shares  # noqa: F401
-from .zmod import FieldElement, is_prime, lagrange_weights, residues, smallest_valid_prime
+from .zmod import (DimensionGuardError, FieldElement, check_int64_modulus, is_prime,
+                   lagrange_weights, residues, smallest_valid_prime)
 
 # The send a tap sees: the initiator's particle to slot 2. The GHZ legs are
 # symmetric, and every t >= 2 has this one.
@@ -126,6 +127,7 @@ class RunConfig:
             raise ConfigError(f"d={d} outside [n, 2n] = [{n}, {2 * n}]")
         if not is_prime(d):
             raise ConfigError(f"d={d} is not prime")
+        check_int64_modulus(d)
         secrets = _sequence("secrets", self.secrets)
         if not secrets:
             raise ConfigError("need at least one secret")
@@ -207,7 +209,7 @@ class PreparedRun:
     ``Share`` and ``Shadow`` records are built when first read."""
 
     config: ResolvedConfig
-    dealer_rows: np.ndarray  # (dealers, n): dealer k's share for player i
+    dealer_rows: np.ndarray  # (dealers, n) int64: dealer k's share for player i
     combined: list[int]  # player i's combined share value, at index i - 1
     shadows: list[int]  # slot u's shadow, at index u - 1
 
@@ -243,7 +245,7 @@ def run_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]
 def deal(config: ResolvedConfig, rng: np.random.Generator) -> np.ndarray:
     """Step 1: each dealer evaluates its polynomial at every player's point.
 
-    Returns the (dealers, n) array of shares, in ``zmod.residues``' dtype.
+    Returns the (dealers, n) int64 array of shares.
     Pinned polynomials draw nothing from ``rng``.
     """
     d = config.d

@@ -17,8 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .affine import DimensionGuardError
-from .zmod import is_prime
+from .zmod import DimensionGuardError, is_prime
 
 DIMENSION_GUARD = 2**24
 

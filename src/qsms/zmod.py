@@ -17,6 +17,17 @@ _MAX_MODULUS = 2**63 - 1
 INT64_MODULUS_BOUND = 2**31
 
 
+class DimensionGuardError(ValueError):
+    """Raised when a run would exceed a guard: tap branches, outcome entries,
+    share messages, the int64 modulus, or the dense engine's d^t amplitudes."""
+
+
+def check_int64_modulus(d: int) -> None:
+    """Reject a modulus outside [2, 2^31), the range of exact int64 arithmetic."""
+    if not 2 <= d < INT64_MODULUS_BOUND:
+        raise DimensionGuardError(f"modulus {d} outside [2, 2^31) for exact int64 arithmetic")
+
+
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10^24, so for
 # every 64-bit n (Sorenson & Webster 2015).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -113,14 +124,10 @@ def lagrange_coefficient(u: int, points: list[int], d: int) -> FieldElement:
 
 
 def residues(values, d: int) -> np.ndarray:
-    """``values`` (any nesting of integer sequences) mod d as an array.
-
-    The dtype is int64 when d < INT64_MODULUS_BOUND, where every product of
-    two residues plus a residue stays exact, and object (exact Python ints)
-    at or above it; array arithmetic on the result is then exact either way.
-    """
-    exact = np.array(values, dtype=object) % d
-    return exact if d >= INT64_MODULUS_BOUND else exact.astype(np.int64)
+    """``values`` (any nesting of integer sequences) mod d as an int64 array, each
+    Python int reduced exactly first; d must pass ``check_int64_modulus``."""
+    check_int64_modulus(d)
+    return (np.array(values, dtype=object) % d).astype(np.int64)
 
 
 def inverses(values: list[int], d: int) -> list[int]:
@@ -139,7 +146,7 @@ def inverses(values: list[int], d: int) -> list[int]:
 
 
 def lagrange_weights(points, d: int) -> np.ndarray:
-    """Every point's interpolation weight at x=0 within ``points``, as
+    """Every point's interpolation weight at x=0 within ``points``, in int64 as
     ``residues`` gives them: entry u is ``lagrange_coefficient(u + 1, points,
     d)``. The points must be distinct and nonzero mod d (else ``ValueError``).
 
@@ -172,10 +179,9 @@ def row_reduce(matrix, d: int) -> tuple[np.ndarray, list[int]]:
 
     Returns the nonzero rows of the form, every entry in [0, d), and the
     column of each row's leading 1, pivoting on columns left to right.
-    Computed in int64, so d must be below 2^31.
+    Computed in int64, so d must pass ``check_int64_modulus``.
     """
-    if not 2 <= d < INT64_MODULUS_BOUND:
-        raise ValueError(f"modulus {d} outside [2, 2^31) for int64 row reduction")
+    check_int64_modulus(d)
     m = np.array(matrix, dtype=np.int64) % d
     pivots: list[int] = []
     for col in range(m.shape[1]):

@@ -76,9 +76,14 @@ def test_intercept_observes_the_state_the_protocol_sends(monkeypatch):
 
 def test_intercept_requires_two_pairs(capsys):
     # The Python API raises the ConfigError whose line the CLI prints, exit 2.
+    config = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=10)
     for pairs in ([], [(2, 3)]):
         with pytest.raises(ConfigError, match="^need at least two secret tuples to compare$"):
-            intercept_and_measure(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=10), pairs)
+            intercept_and_measure(config, pairs)
+    # Not a list of lists: a ConfigError that names the argument, not a TypeError.
+    for pairs in (5, 3.5, None):
+        with pytest.raises(ConfigError, match="^secret_pairs must be a list, got "):
+            intercept_and_measure(config, pairs)
     assert cli.main(["attack", "--kind", "intercept", "--secret-pairs", "2,3"]) == cli.EXIT_USAGE
     assert capsys.readouterr().err == "error: need at least two secret tuples to compare\n"
 

@@ -7,8 +7,10 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,38 @@ def test_demo_matches_reference(capsys):
     out = capsys.readouterr().out
     assert "result: 5  (binary 101)" in out
     assert "[5, 4, 7]" in out
+
+
+def _table_offsets(out: str) -> list[list[int]]:
+    """Where each word of each share-table row starts: the rows above the shadows line."""
+    lines = out.splitlines()
+    table = lines[:next(i for i, line in enumerate(lines) if line.startswith("shadows"))]
+    return [[m.start() for m in re.finditer(r"\S+", line)] for line in table]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["demo"], 4),
+    (["run", "--secrets", "1,2,3,4,5,6,7,8,9,10", "--n", "12", "--t", "3", "--d", "13",
+      "--shots", "1"], 12),
+])
+def test_pretty_table_cells_start_at_header_offsets(argv, rows, capsys):
+    # Labels up to poly_10(x_i) and headers up to P12: no cell touches its label.
+    assert main(argv) == EXIT_OK
+    offsets = _table_offsets(capsys.readouterr().out)
+    assert len(offsets) == rows
+    assert all(row == offsets[0] for row in offsets)
+
+
+def test_pretty_table_holds_wide_headers_and_values():
+    # P10000 on, and six-digit shares (d <= 2n allows up to 131071).
+    n = 10_001
+    transcript = types.SimpleNamespace(
+        config=types.SimpleNamespace(n=n, qualified=(1, 2)),
+        dealer_rows=np.full((1, n), 123_456), combined=[131_070] * n,
+        shadows=[1, 2], result=3, result_binary="11")
+    offsets = _table_offsets(cli._render_table(transcript) + "\n")
+    assert len(offsets) == 3 and len(offsets[0]) == n + 1
+    assert all(row == offsets[0] for row in offsets)
 
 
 def test_demo_writes_transcript(tmp_path):

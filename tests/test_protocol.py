@@ -98,10 +98,9 @@ def test_prepare_run_shadows():
     assert [prepared.players[i - 1].shadow.value.value for i in (1, 2, 3)] == [5, 4, 7]
 
 
-# Small primes, and moduli on both sides of the int64 bound 2^31: 2^31 - 1
-# (int64 arrays), 2147483659 (the first prime above 2^31) and 2^61 - 1
-# (exact Python ints in object arrays).
-ORACLE_MODULI = (3, 5, 7, 11, 13, 101, 2**31 - 1, 2147483659, 2**61 - 1)
+# Small primes, and 2^31 - 1, the largest prime below the int64 bound 2^31
+# that ``resolved()`` enforces.
+ORACLE_MODULI = (3, 5, 7, 11, 13, 101, 2**31 - 1)
 
 
 @st.composite
@@ -139,13 +138,13 @@ def test_classical_phase_matches_object_api(cfg):
         if cfg.polynomials is not None
         else [Polynomial.random(s, t - 1, d, rng) for s in cfg.secrets]
     )
-    assert prepared.dealer_rows.dtype == (np.int64 if d < 2**31 else object)
+    assert prepared.dealer_rows.dtype == np.int64
     assert prepared.dealer_rows.tolist() == [
         [poly.evaluate(x).value for x in cfg.evaluation_points] for poly in polys
     ]
     dealt = [generate_shares(poly, cfg.evaluation_points, d) for poly in polys]
     # The transcript's message view reads only the config and the dealer
-    # rows, which the prepared run holds too: no quantum phase runs at d >= 2^31.
+    # rows, which the prepared run holds too.
     messages = ProtocolTranscript.messages.fget(prepared)
     assert [m["payload"] for m in messages if m["kind"] == "share"] == [
         s.to_json() for row in dealt for s in row
@@ -467,6 +466,43 @@ def test_quantum_phase_rejects_modulus_beyond_int64(d):
     with pytest.raises(DimensionGuardError, match="2\\^31"):
         run_protocol(cfg)
     assert run_protocol(replace(cfg, d=2**31 - 1, shots=4)).result == 1
+
+
+@pytest.mark.parametrize("d", [2147483659, 2**61 - 1])
+def test_run_rejects_modulus_beyond_int64_before_the_deal(monkeypatch, d):
+    def no_deal(*args):
+        raise AssertionError("deal reached")
+
+    monkeypatch.setattr(protocol, "deal", no_deal)
+    cfg = RunConfig(secrets=(1,), n=7, t=3, d=d, shots=4, allow_out_of_range_prime=True)
+    start = time.perf_counter()
+    with pytest.raises(DimensionGuardError, match="2\\^31"):
+        run_protocol(cfg)
+    assert time.perf_counter() - start < 1.0
+
+
+class _NoObjectArrays:
+    """numpy, except that ``array`` refuses to build an object array."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def array(values, dtype=None, **kwargs):
+        assert dtype is not object, "object array built"
+        return np.array(values, dtype=dtype, **kwargs)
+
+
+def test_prepare_run_rejects_modulus_beyond_int64_without_object_arrays(monkeypatch):
+    # A hand-built ResolvedConfig skips resolved(); residues still holds the bound.
+    monkeypatch.setattr(zmod, "np", _NoObjectArrays())
+    cfg = protocol.ResolvedConfig(secrets=(1,), n=7, t=3, d=2147483659, qualified=(1, 2, 3),
+                                  evaluation_points=tuple(range(1, 8)), shots=4, seed=0,
+                                  polynomials=None)
+    with pytest.raises(DimensionGuardError, match="2\\^31") as excinfo:
+        prepare_run(cfg, np.random.default_rng(0))
+    assert [entry.name for entry in excinfo.traceback][-2:] == ["residues",
+                                                               "check_int64_modulus"]
 
 
 def test_aggregate():
@@ -798,10 +834,10 @@ def test_resolved_bounds_share_messages(monkeypatch):
 
 
 def test_resolved_61_bit_prime_returns_promptly():
+    # The range and primality checks answer a huge d at once; the int64 guard follows.
     start = time.perf_counter()
-    cfg = RunConfig(secrets=(1,), n=7, t=3, d=2**61 - 1,
-                    allow_out_of_range_prime=True).resolved()
-    assert cfg.d == 2**61 - 1
+    with pytest.raises(DimensionGuardError, match="2\\^31"):
+        RunConfig(secrets=(1,), n=7, t=3, d=2**61 - 1, allow_out_of_range_prime=True).resolved()
     assert time.perf_counter() - start < 1.0
 
 
