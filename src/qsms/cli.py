@@ -3,7 +3,8 @@ run attack scenarios, or cross-check the simulator against the analytic
 post-transform state.
 
 Exit codes: 0 success, 2 usage/config error, 3 simulator guard,
-4 verification or statistical failure.
+4 verification or statistical failure. A reader that closes stdout early
+changes none of them.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import affine
 from .adversary import collusion_inference, dealt_shares, intercept_and_measure, intercept_resend
 from .protocol import ConfigError, RunConfig, post_transform, run_protocol
-from .zmod import INT64_MODULUS_BOUND, DimensionGuardError
+from .zmod import INT64_MODULUS_BOUND, DimensionGuardError, is_prime
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,6 +74,21 @@ def _open_output(name: str):
         if stat.S_ISREG(os.lstat(path).st_mode):
             path.unlink()
         raise
+
+
+class _Stdout:
+    """``stream`` until its reader goes away: after a ``BrokenPipeError`` the
+    text goes nowhere, so a closed stdout changes no exit code or file."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+
+    def write(self, text: str) -> None:
+        if self.stream is not None:
+            try:
+                self.stream.write(text)
+            except BrokenPipeError:
+                self.stream = None
 
 
 class _Tee(list):
@@ -196,6 +212,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     d, t = args.d, args.t
     shadows = list(args.shadows)
+    if not is_prime(d):  # first: a shadow's range [0, d) means nothing without it
+        raise ConfigError(f"d={d} is not prime")
     if len(shadows) != t:
         raise ConfigError(f"expected {t} shadows, got {len(shadows)}")
     for s in shadows:
@@ -283,24 +301,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        # A command's parser reads the rest, as the top parser would pass it on.
-        parser = build_parser()
-        command = parser.commands.get(argv[0]) if argv else None
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:  # --help
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except DimensionGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (ValueError, OSError) as exc:  # ConfigError and ThresholdReachedError too
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with contextlib.redirect_stdout(_Stdout(sys.stdout)):
+        try:
+            # A command's parser reads the rest, as the top parser would pass it on.
+            parser = build_parser()
+            command = parser.commands.get(argv[0]) if argv else None
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:  # --help
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        except DimensionGuardError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_GUARD
+        except (ValueError, OSError) as exc:  # ConfigError and ThresholdReachedError too
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 def entry_point() -> None:  # console-script shim
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; fd 1 goes to devnull, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # python -m qsms.cli

@@ -361,12 +361,10 @@ def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     if digits.size and (digits.min() < 0 or digits.max() >= d):
         outside = (digits < 0) | (digits >= d)
         raise ValueError(f"digit {digits[outside][0]} outside [0, {d})")
-    # Column by column, one pass over each qudit's digits, into one
-    # accumulator that holds t * (d - 1), so one reduction at the end is exact.
-    sums = np.zeros(digits.shape[:-1], np.min_scalar_type(digits.shape[-1] * (d - 1)))
-    for column in np.moveaxis(digits, -1, 0):
-        np.add(sums, column, out=sums, casting="unsafe")  # in range: checked above
-    return np.remainder(sums, d, out=sums).astype(digit_dtype(d), copy=False)
+    # One sum in the narrowest dtype that holds t * (d - 1), so one reduction
+    # at the end is exact; a single row's sum stays a 0-d array.
+    sums = digits.sum(axis=-1, dtype=np.min_scalar_type(digits.shape[-1] * (d - 1)))
+    return np.asarray(sums % d).astype(digit_dtype(d), copy=False)
 
 
 def _json_list(texts: list[str], depth: int, brackets: str = "[]") -> list[str]:

@@ -130,28 +130,13 @@ def residues(values, d: int) -> np.ndarray:
     return (np.array(values, dtype=object) % d).astype(np.int64)
 
 
-def inverses(values: list[int], d: int) -> list[int]:
-    """The inverse mod d of each value, from one modular inversion
-    (Montgomery's trick, Math. Comp. 48, 1987). A value of 0 mod d raises
-    ``ValueError``."""
-    prefix = [1]
-    for v in values:
-        prefix.append(prefix[-1] * v % d)
-    inverse = pow(prefix[-1], -1, d)
-    out = [0] * len(values)
-    for i in reversed(range(len(values))):
-        out[i] = prefix[i] * inverse % d
-        inverse = inverse * values[i] % d
-    return out
-
-
 def lagrange_weights(points, d: int) -> np.ndarray:
     """Every point's interpolation weight at x=0 within ``points``, in int64 as
     ``residues`` gives them: entry u is ``lagrange_coefficient(u + 1, points,
     d)``. The points must be distinct and nonzero mod d (else ``ValueError``).
 
     Weight u is the product of all points over x_u times the product of
-    (x_z - x_u) for z != u, so one batched inversion serves every weight.
+    (x_z - x_u) for z != u: one ``pow`` inverts each such denominator.
     """
     x = residues(points, d)
     factors = (x[None, :] - x[:, None]) % d  # row u, column z: x_z - x_u
@@ -162,7 +147,7 @@ def lagrange_weights(points, d: int) -> np.ndarray:
     numerator = 1
     for v in x.tolist():
         numerator = numerator * v % d
-    return residues(inverses(denominators.tolist(), d), d) * numerator % d
+    return residues([pow(v, -1, d) for v in denominators.tolist()], d) * numerator % d
 
 
 def smallest_valid_prime(n: int) -> int:

@@ -432,6 +432,9 @@ _MALFORMED_FLAGS = [
      "error: shadow 18 outside [0, 11)\n"),
     (["verify", "--d", "11", "--t", "2", "--shadows=-1,2"],
      "error: shadow -1 outside [0, 11)\n"),
+    # d is checked before the shadows it bounds.
+    (["verify", "--d", "-5", "--t", "1", "--shadows", "0"], "error: d=-5 is not prime\n"),
+    (["verify", "--d", "4", "--t", "2", "--shadows", "1,9"], "error: d=4 is not prime\n"),
 ]
 
 
@@ -695,7 +698,7 @@ def test_attack_output_never_calls_json_dumps(tmp_path, monkeypatch, capsys):
 
 
 class _ClosedAfter(io.StringIO):
-    """A stdout whose reader goes away after ``writes`` writes."""
+    """A sink whose reader goes away after ``writes`` writes."""
 
     def __init__(self, writes: int):
         super().__init__()
@@ -708,6 +711,15 @@ class _ClosedAfter(io.StringIO):
         return super().write(text)
 
 
+def _output_closed_after(writes: int):
+    """An ``open`` for ``--output`` that makes the file, then hands back a
+    sink that fails as a closed pipe does after ``writes`` writes."""
+    def opener(path, mode, buffering):
+        open(path, mode).close()
+        return _ClosedAfter(writes)
+    return opener
+
+
 # ``qsms run ... --format json --output F | head -c 100`` at the t=50 target size.
 _PIPED_RUN = ["run", "--secrets", "3,5", "--n", "60", "--t", "50", "--d", "101",
               "--shots", "2000", "--format", "json"]
@@ -715,7 +727,7 @@ _PIPED_RUN = ["run", "--secrets", "3,5", "--n", "60", "--t", "50", "--d", "101",
 
 @pytest.mark.parametrize("writes", [0, 3, 30])
 def test_failed_write_leaves_no_partial_output(writes, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdout", _ClosedAfter(writes))
+    monkeypatch.setattr(cli, "open", _output_closed_after(writes), raising=False)
     out_file = tmp_path / "out.json"
     assert main([*_PIPED_RUN, "--output", str(out_file)]) == EXIT_USAGE
     assert "Broken pipe" in _single_error_line(capsys)
@@ -727,7 +739,32 @@ def test_failed_write_leaves_a_symlink_in_place(tmp_path, monkeypatch, capsys):
     target.write_text("")
     link = tmp_path / "out.json"
     link.symlink_to(target)
-    monkeypatch.setattr(sys, "stdout", _ClosedAfter(3))
+    monkeypatch.setattr(cli, "open", _output_closed_after(3), raising=False)
     assert main([*_PIPED_RUN, "--output", str(link)]) == EXIT_USAGE
     assert "Broken pipe" in _single_error_line(capsys)
     assert link.is_symlink() and link.resolve() == target.resolve()
+
+
+@pytest.mark.parametrize("writes", [0, 3, 30])
+def test_closed_stdout_changes_neither_exit_code_nor_output(writes, tmp_path, monkeypatch,
+                                                            capsys):
+    clean = tmp_path / "clean.json"
+    assert main([*_PIPED_RUN, "--output", str(clean)]) == EXIT_OK
+    monkeypatch.setattr(sys, "stdout", _ClosedAfter(writes))
+    out_file = tmp_path / "out.json"
+    assert main([*_PIPED_RUN, "--output", str(out_file)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert out_file.read_bytes() == clean.read_bytes()
+
+
+def test_module_run_into_a_closed_pipe_exits_ok():
+    # The reader is gone before the first write, so the exit flush fails too.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(qsms.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "qsms.cli", "demo", "--shots", "1"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")

@@ -527,6 +527,13 @@ def _digit_arrays(draw):
 @example(case=(np.empty((0, 3), dtype=np.int64), 11))
 @example(case=(np.array([5, 4, 7]), 11))
 @example(case=(np.asfortranarray([[5, 4, 7], [10, 10, 10]]), 11))
+# Every digit d - 1, so the sum is t(d - 1): at each side of the uint8 and
+# uint16 accumulator widths, then F-ordered at the t=300 target size.
+@example(case=(np.full((2, 255), 1), 2))
+@example(case=(np.full((2, 16), 16), 17))
+@example(case=(np.full((2, 65535), 1), 2))
+@example(case=(np.full((2, 256), 256), 257))
+@example(case=(np.asfortranarray(np.full((3, 300), 306)), 307))
 def test_aggregate_matches_row_sum(case):
     digits, d = case
     np.testing.assert_array_equal(aggregate(digits, d), np.sum(digits, axis=-1) % d)
