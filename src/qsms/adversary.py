@@ -121,29 +121,25 @@ def intercept_and_measure(config: RunConfig,
                           secret_pairs: Sequence[tuple[int, ...]]) -> AttackReport:
     """Tap the initiator's send to slot 2 and measure it.
 
-    For each secret tuple, ``config`` with those secrets deals its shares,
-    and the protocol's Step 4 sends the leg to slot 2 through ``measure_leg``,
-    before any Fourier layer; the protocol's branch draw then splits
-    ``shots`` among the digits read. The report compares the per-secret
-    distributions (they should be statistically indistinguishable and
-    uniform) and the attacker's best-guess success rate against the 1/d
-    baseline.
+    Step 4 sends the leg through ``measure_leg`` once: it reads only t and d
+    and comes before any share is used. Each secret tuple, checked in
+    ``config``, then takes its own branch draw of ``shots`` from the shot
+    generator of a run at the config's seed. The report compares the
+    per-secret distributions (they should be statistically
+    indistinguishable and uniform) and the attacker's best-guess success
+    rate against the 1/d baseline.
     """
     secret_pairs = _sequence("secret_pairs", secret_pairs, _sequence)
     if len(secret_pairs) < 2:
         raise ConfigError("need at least two secret tuples to compare")
     configs = [replace(config, secrets=pair).resolved() for pair in secret_pairs]
     d, shots = configs[0].d, configs[0].shots
-    rng = np.random.default_rng(configs[0].seed)
-    distributions: dict[str, dict[str, float]] = {}
-    pooled = np.zeros(d)
-    for cfg in configs:
-        deal(cfg, rng)  # draws the dealer polynomials, as a run would
-        weights, labels, _ = send_ghz(cfg.t, d, measure_leg)
-        # Each digit's shots: whole numbers, exact in bincount's float64.
-        counts = np.bincount(labels, branch_counts(weights, shots, rng), d)
-        pooled += counts
-        distributions[str(cfg.secrets)] = _counts_to_dist(counts, shots)
+    _, rng = run_generators(configs[0].seed)
+    weights, digits, _ = send_ghz(configs[0].t, d, measure_leg)
+    # Each digit's shots: whole numbers, exact in bincount's float64.
+    counts = [np.bincount(digits, branch_counts(weights, shots, rng), d) for _ in configs]
+    distributions = {str(cfg.secrets): _counts_to_dist(c, shots)
+                     for cfg, c in zip(configs, counts)}
 
     uniform = {str(c): 1.0 / d for c in range(d)}
     tv = {}
@@ -152,7 +148,7 @@ def intercept_and_measure(config: RunConfig,
         tv[f"{a} vs {b}"] = tv_distance(distributions[a], distributions[b])
     for label in labels:
         tv[f"{label} vs uniform"] = tv_distance(distributions[label], uniform)
-    return _tap_report("intercept", shots, pooled, distributions, tv, max(tv.values()))
+    return _tap_report("intercept", shots, sum(counts), distributions, tv, max(tv.values()))
 
 
 def intercept_resend(config: RunConfig | ResolvedConfig) -> AttackReport:
@@ -230,14 +226,14 @@ def collusion_inference(
     reduced, pivots = row_reduce(system, d)
     rank = sum(p < t - 1 for p in pivots)
     # The rows with no pivot among a_1..a_{t-1} say alpha * s = beta; each
-    # secret satisfying all of them leaves d^(t-1-rank) polynomials.
+    # secret satisfying all of them leaves d^(t-1-rank) polynomials, so the
+    # candidates are equally likely.
     alpha, beta = reduced[rank:, t - 1], reduced[rank:, t]
     secrets = np.arange(d, dtype=np.int64)
     consistent = ((secrets[:, None] * alpha - beta) % d == 0).all(axis=1)
-    per_secret = d ** (t - 1 - rank)
-    candidates = {s: per_secret for s in np.flatnonzero(consistent).tolist()}
-    candidate_count, total = len(candidates), per_secret * len(candidates)
-    dist = {str(s): c / total for s, c in candidates.items()}
+    candidates = np.flatnonzero(consistent).tolist()
+    candidate_count = len(candidates)
+    dist = {str(s): 1 / candidate_count for s in candidates}
     passed = candidate_count == d
     return AttackReport(
         kind="collusion",
@@ -250,6 +246,6 @@ def collusion_inference(
         passed=passed,
         details={
             "candidate_count": candidate_count,
-            "candidates": list(candidates),
+            "candidates": candidates,
         },
     )

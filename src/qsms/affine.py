@@ -22,6 +22,9 @@ from .zmod import DimensionGuardError, check_int64_modulus, is_prime, row_reduce
 # Most outcomes a tap may return: one weight and one label each, beside the
 # one state they all share.
 BRANCH_GUARD = 2**12
+# Most outcome digits (shots x t) a run may hold, 16 to 64 MiB in ``digit_dtype(d)``,
+# and most entries (t x t) of a state's basis, its dual or the Lagrange weights.
+OUTCOME_GUARD = 2**24
 
 
 def digit_dtype(d: int) -> np.dtype:
@@ -54,6 +57,13 @@ def check_branches(count: int) -> None:
         raise DimensionGuardError(f"{count} tap branches exceed guard {BRANCH_GUARD}")
 
 
+def check_qudits(t: int) -> None:
+    """Reject a qudit count whose t x t arrays exceed the guard."""
+    if t * t > OUTCOME_GUARD:
+        raise DimensionGuardError(
+            f"state entries t x t = {t} x {t} = {t * t} exceed guard {OUTCOME_GUARD}")
+
+
 def prepare_ghz(t: int, d: int) -> AffineState:
     """(1/sqrt(d)) sum_c |c>|c>...|c>: offset 0, basis the all-ones row."""
     if t < 1:
@@ -61,6 +71,7 @@ def prepare_ghz(t: int, d: int) -> AffineState:
     if not is_prime(d):
         raise ValueError(f"qudit dimension {d} must be prime")
     check_int64_modulus(d)
+    check_qudits(t)
     return AffineState(d, np.zeros(t, dtype=np.int64), np.ones((1, t), dtype=np.int64))
 
 

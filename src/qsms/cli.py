@@ -16,7 +16,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -188,11 +187,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if args.kind == "intercept":
         report = intercept_and_measure(config, args.secret_pairs)
     elif args.kind == "intercept-resend":
-        # Seed + 1 was the attacked run's seed while an honest run took the
-        # seed itself (897dee6); keeping it keeps the reports' bytes. The
-        # offset goes on the checked seed, so a negative one is rejected.
-        cfg = config.resolved()
-        report = intercept_resend(replace(cfg, seed=cfg.seed + 1))
+        report = intercept_resend(config)
     else:  # collusion
         cfg = config.resolved()
         if args.colluders is None:

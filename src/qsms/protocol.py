@@ -20,7 +20,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import affine
-from .affine import AffineState, digit_dtype
+from .affine import OUTCOME_GUARD, AffineState, digit_dtype
 from .shamir import Share, Shadow
 # Not called here: perfbench/tracer.py patches these names in this module
 # until it is rebuilt on spans (ROADMAP item 1).
@@ -37,9 +37,6 @@ TAP_POSITION = 2
 # state) passes the state on; the honest path has no tap.
 QuantumTap = Callable[[AffineState], tuple[Sequence[float], Sequence[Hashable], AffineState]]
 
-# Most outcome digits (shots x t) a run may hold: 16 to 64 MiB in
-# ``digit_dtype(d)``, before the transcript writes them as text in blocks.
-OUTCOME_GUARD = 2**24
 # Shots whose outcome rows and per-shot sums ``write_json`` formats at once.
 SHOTS_PER_BLOCK = 1024
 # Most share messages (dealers x n) a run may hold: writing the transcript
@@ -121,6 +118,7 @@ class RunConfig:
                 f"outcome entries shots x t = {shots} x {t} = {shots * t} "
                 f"exceed guard {OUTCOME_GUARD}"
             )
+        affine.check_qudits(t)
         d = smallest_valid_prime(n) if self.d is None else _integer("d", self.d)
         # The range check runs first: it is cheap, primality of a huge d is not.
         if not self.allow_out_of_range_prime and not n <= d <= 2 * n:
@@ -236,8 +234,8 @@ _PAYLOAD_KEYS = {"share": _SHARE_KEYS, "particle": ("position",)}
 
 
 def run_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The generators a run with ``seed`` deals and draws its shots from: two
-    children spawned from one ``SeedSequence``."""
+    """The generators a run or attack at ``seed`` deals and draws its shots
+    from, the only ones qsms makes: two children of one ``SeedSequence``."""
     deal_seq, shot_seq = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(deal_seq), np.random.default_rng(shot_seq)
 

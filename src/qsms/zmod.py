@@ -19,7 +19,7 @@ INT64_MODULUS_BOUND = 2**31
 
 class DimensionGuardError(ValueError):
     """Raised when a run would exceed a guard: tap branches, outcome entries,
-    share messages, the int64 modulus, or the dense engine's d^t amplitudes."""
+    t x t state entries, share messages, the int64 modulus, or d^t amplitudes."""
 
 
 def check_int64_modulus(d: int) -> None:

@@ -287,6 +287,30 @@ def test_intercept_runs_no_fourier_layer(monkeypatch):
     assert intercept_and_measure(cfg, [(2, 3), (7, 9)]).passed
 
 
+def test_intercept_sends_step_4_once_and_deals_nothing(monkeypatch):
+    # Step 4 reads only t and d and comes before any share is used.
+    def no_deal(*args):
+        raise AssertionError("deal reached")
+
+    sends = []
+    monkeypatch.setattr(adversary, "deal", no_deal)
+    monkeypatch.setattr(adversary, "send_ghz",
+                        lambda *args: sends.append(args) or protocol.send_ghz(*args))
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=500, seed=1)
+    assert intercept_and_measure(cfg, [(2, 3), (7, 9), (1, 1)]).passed
+    assert sends == [(3, 11, measure_leg)]
+
+
+def test_intercept_draws_from_a_runs_shot_generator():
+    # Each tuple's branch counts, in order, from the generator a run at the seed draws from.
+    report = intercept_and_measure(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=500,
+                                             seed=4), [(2, 3), (7, 9)])
+    _, rng = protocol.run_generators(4)
+    for dist in report.distributions.values():
+        counts = protocol.branch_counts(np.full(11, 1 / 11), 500, rng)
+        assert dist == {str(k): c / 500 for k, c in enumerate(counts.tolist()) if c}
+
+
 def test_dealt_shares_computes_no_shadows(monkeypatch):
     def refuse(*args):
         raise AssertionError("shadows computed")

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import qsms
 from qsms import affine, cli, protocol
-from qsms.adversary import AttackReport
+from qsms.adversary import AttackReport, intercept_resend
 from qsms.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from qsms.protocol import ProtocolTranscript
 
@@ -160,6 +160,22 @@ def test_verify_rejects_a_shadow_before_building_a_state(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: shadow 11 outside [0, 11)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--secrets", "1", "--n", "4097", "--t", "4097", "--shots", "1"],
+    ["verify", "--d", "4099", "--t", "4097", "--shadows", ",".join(["0"] * 4097)],
+])
+def test_t_squared_beyond_guard_exits_3_before_any_t_by_t_array(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("t x t array built")
+
+    # The deal comes before the Lagrange weights, fourier_shift builds the dual.
+    monkeypatch.setattr(protocol, "deal", refuse)
+    monkeypatch.setattr(affine, "fourier_shift", refuse)
+    assert main(argv) == EXIT_GUARD
+    assert _single_error_line(capsys) == (
+        "error: state entries t x t = 4097 x 4097 = 16785409 exceed guard 16777216\n")
+
+
 def test_verify_trivial_and_small(capsys):
     assert main(["verify", "--d", "2", "--t", "1", "--shadows", "1"]) == EXIT_OK
     assert main(["verify", "--d", "3", "--t", "2", "--shadows", "1,2"]) == EXIT_OK
@@ -198,6 +214,15 @@ def test_attack_intercept_resend(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
     assert doc["details"]["honest_result"] == 3
+
+
+def test_attack_intercept_resend_runs_at_the_given_seed(tmp_path, capsys):
+    # --seed S is S for every command: the attacked run deals what ``qsms run`` deals.
+    out_file = tmp_path / "resend.json"
+    assert main(["attack", "--kind", "intercept-resend", "--shots", "300", "--seed", "9",
+                 "--output", str(out_file)]) == EXIT_OK
+    config = protocol.RunConfig(secrets=(2, 3), n=7, t=3, shots=300, seed=9)
+    assert out_file.read_text() == intercept_resend(config).to_json()
 
 
 def test_attack_intercept_resend_runs_every_shot(capsys):
@@ -386,7 +411,7 @@ _BAD_ATTACK_INPUTS = [
     (["--kind", "intercept", "--n", "99", "--d", "11"], "outside"),
     (["--kind", "intercept-resend", "--n", "99", "--d", "11"], "outside"),
     (["--kind", "collusion", "--colluders", "1", "--n", "99", "--d", "11"], "outside"),
-    # The seed is checked before intercept-resend offsets it by one.
+    # intercept-resend checks its seed as a run does.
     (["--kind", "intercept-resend", "--seed", "-1"], "seed must be >= 0, got -1"),
 ]
 
@@ -492,15 +517,15 @@ PINNED_OUTPUTS = {
                   "--shots", "2000", "--format", "json"],
                  "a3291a8b379e4b7abed562286c2edc7743f028f16951207c5112e86fe8fffbdf"),
     "intercept": (["attack", "--kind", "intercept", "--shots", "20000", "--seed", "3"],
-                  "07f87e0df381e4c40dc764c1ad21f34d54633b765e5edd956aa358474476dabb"),
+                  "d7df8163219885feb159b63883072dc3039c4e464552cc30f11a6e100237f935"),
     "intercept-resend": (["attack", "--kind", "intercept-resend", "--shots", "4096",
                           "--seed", "5"],
-                         "e99c3d34f1ca558701914794b9f12e0db644cdabcdbab33e5bbbf2d5fb93c89b"),
+                         "b13e7a99969abec7c8440836e4cf666af1d81fa731333cae892bdbddcf44830a"),
     # One draw covers 101 tap branches that end in the same state.
     "intercept-resend t=50": (["attack", "--kind", "intercept-resend", "--n", "60",
                                "--t", "50", "--d", "101", "--shots", "2000",
                                "--seed", "5"],
-                              "6b28d6ca450b3f329f37bf78c761bfe2b0314d45b96e40cd7ce02e85028a5618"),
+                              "a7b96010d665bd0db7f5ba2d6fdc75445ecc7f6003d4372b4dd86587d22d20ee"),
     "collusion": (["attack", "--kind", "collusion", "--colluders", "2,3", "--seed", "7"],
                   "d5ce425f96675580ad73024a52c323f54316ff3acbfbbd2421736d5baeac940f"),
 }

@@ -481,6 +481,23 @@ def test_run_rejects_modulus_beyond_int64_before_the_deal(monkeypatch, d):
     assert time.perf_counter() - start < 1.0
 
 
+def test_run_rejects_t_squared_beyond_guard_before_the_deal(monkeypatch):
+    # A run builds t x t arrays (the Lagrange weights, a state's dual): a
+    # 1-shot run peaks near 430 MiB at t = 4096, growing as t^2.
+    def no_deal(*args):
+        raise AssertionError("deal reached")
+
+    monkeypatch.setattr(protocol, "deal", no_deal)
+    cfg = RunConfig(secrets=(1,), n=4097, t=4097, shots=1)
+    start = time.perf_counter()
+    with pytest.raises(DimensionGuardError, match="^state entries t x t = 4097 x 4097 "):
+        run_protocol(cfg)
+    assert time.perf_counter() - start < 1.0
+    assert replace(cfg, n=4096, t=4096).resolved().t == 4096
+    with pytest.raises(DimensionGuardError, match="exceed guard 16777216$"):
+        affine.prepare_ghz(4097, 4099)
+
+
 class _NoObjectArrays:
     """numpy, except that ``array`` refuses to build an object array."""
 
