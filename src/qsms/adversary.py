@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from . import affine
-from .protocol import (TAP_POSITION, ConfigError, ResolvedConfig, RunConfig, _json_value,
-                       _sequence, branch_counts, combine, deal, run_generators,
-                       run_protocol, send_ghz)
+from .protocol import (TAP_POSITION, ConfigError, ResolvedConfig, RunConfig, _integer,
+                       _json_value, _sequence, branch_counts, combine, deal,
+                       run_generators, run_protocol, send_ghz)
 from .protocol import prepare_run  # noqa: F401 (not called: perfbench/tracer.py patches it)
 from .shamir import Share
 from .zmod import FieldElement, is_prime, row_reduce
@@ -82,9 +82,9 @@ def _counts_to_dist(counts: np.ndarray, shots: int) -> dict[str, float]:
 
 
 def measure_leg(state: affine.AffineState) -> tuple:
-    """Both tap attacks' tap: measure the leg sent to slot 2, one weight per
-    digit, labelled by it, and pass the collapsed particle on."""
-    return affine.collapse(state, TAP_POSITION)[:3]
+    """Both tap attacks' tap: measure the leg sent to slot 2, weight c the
+    probability of digit c, and pass the collapsed particle on."""
+    return affine.collapse(state, TAP_POSITION)[:2]
 
 
 def _tap_report(kind: str, shots: int, counts: np.ndarray,
@@ -117,7 +117,7 @@ def _tap_report(kind: str, shots: int, counts: np.ndarray,
     )
 
 
-def intercept_and_measure(config: RunConfig,
+def intercept_and_measure(config: RunConfig | ResolvedConfig,
                           secret_pairs: Sequence[tuple[int, ...]]) -> AttackReport:
     """Tap the initiator's send to slot 2 and measure it.
 
@@ -132,12 +132,13 @@ def intercept_and_measure(config: RunConfig,
     secret_pairs = _sequence("secret_pairs", secret_pairs, _sequence)
     if len(secret_pairs) < 2:
         raise ConfigError("need at least two secret tuples to compare")
+    if isinstance(config, ResolvedConfig):  # its d was checked when it was resolved
+        config = RunConfig(**vars(config), allow_out_of_range_prime=True)
     configs = [replace(config, secrets=pair).resolved() for pair in secret_pairs]
     d, shots = configs[0].d, configs[0].shots
     _, rng = run_generators(configs[0].seed)
-    weights, digits, _ = send_ghz(configs[0].t, d, measure_leg)
-    # Each digit's shots: whole numbers, exact in bincount's float64.
-    counts = [np.bincount(digits, branch_counts(weights, shots, rng), d) for _ in configs]
+    weights, _ = send_ghz(configs[0].t, d, measure_leg)
+    counts = [branch_counts(weights, shots, rng) for _ in configs]  # shots per digit
     distributions = {str(cfg.secrets): _counts_to_dist(c, shots)
                      for cfg, c in zip(configs, counts)}
 
@@ -158,14 +159,13 @@ def intercept_resend(config: RunConfig | ResolvedConfig) -> AttackReport:
     and the downstream damage: the attacked run's aggregate spreads over
     Z_d while every honest shot sums to the secret total.
     """
-    # The attacker's digit labels each branch; the kept collapsed state is
-    # the "clone" particle sent onward.
+    # Tap outcome c is the attacker's digit c; the kept collapsed state is the
+    # "clone" particle sent onward.
     attacked = run_protocol(config, tap=measure_leg)
     d, shots = attacked.config.d, attacked.config.shots
     # Every honest shot sums to the shadows' sum, the secret total.
     honest_result = sum(attacked.shadows) % d
-    attacker_counts = np.bincount(attacked.tap_labels, attacked.tap_counts, d)
-    attacker_dist = _counts_to_dist(attacker_counts, shots)
+    attacker_dist = _counts_to_dist(attacked.tap_counts, shots)
     aggregate_dist = _counts_to_dist(np.bincount(attacked.per_shot_sums), shots)
     uniform = {str(c): 1.0 / d for c in range(d)}
     tv = {
@@ -176,16 +176,17 @@ def intercept_resend(config: RunConfig | ResolvedConfig) -> AttackReport:
     # The attacked aggregate is meant to differ from the honest one, so only
     # the attacker's view is held to the uniformity bound.
     return _tap_report(
-        "intercept-resend", shots, attacker_counts,
+        "intercept-resend", shots, attacked.tap_counts,
         {"attacker": attacker_dist, "attacked_aggregate": aggregate_dist},
         tv, tv["attacker vs uniform"], honest_result=honest_result,
     )
 
 
-def dealt_shares(config: ResolvedConfig, players: Sequence[int]) -> list[Share]:
+def dealt_shares(config: RunConfig | ResolvedConfig, players: Sequence[int]) -> list[Share]:
     """The combined shares ``run_protocol(config)`` deals to ``players``
     (distinct indices in 1..n, else a ``ConfigError``), from the same deal
     generator; no shadow is computed and no quantum phase runs."""
+    config = config.resolved() if isinstance(config, RunConfig) else config
     # Player 0 or -1 would silently take a share from the end of the list.
     players = _sequence("colluders", players)
     if len(set(players)) != len(players) or not all(1 <= i <= config.n for i in players):
@@ -206,6 +207,7 @@ def collusion_inference(
     Broadcast values reveal only the public sum, which constrains no
     individual dealer secret, so every residue should survive.
     """
+    t, d = _integer("t", t), _integer("d", d)
     if not is_prime(d):
         raise ConfigError(f"d={d} is not prime")
     moduli = sorted({share.x.modulus for share in colluder_shares} - {d})

@@ -19,8 +19,8 @@ import numpy as np
 
 from .zmod import DimensionGuardError, check_int64_modulus, is_prime, row_reduce
 
-# Most outcomes a tap may return: one weight and one label each, beside the
-# one state they all share.
+# Most outcomes a tap may return: one weight each, beside the one state they
+# all share.
 BRANCH_GUARD = 2**12
 # Most outcome digits (shots x t) a run may hold, 16 to 64 MiB in ``digit_dtype(d)``,
 # and most entries (t x t) of a state's basis, its dual or the Lagrange weights.
@@ -82,23 +82,25 @@ def _column(state: AffineState, position: int) -> int:
 
 
 def collapse(state: AffineState, position: int) -> tuple:
-    """Projective measurement of one qudit: (weights, digits, kept, pivot).
+    """Projective measurement of one qudit: (weights, kept, pivot), weight c
+    the probability of digit c in Z_d.
 
     If the support varies the qudit, each digit c has weight 1/d and leaves
     ``kept`` (digit 0's state) with offset ``kept.offset + c * pivot`` mod d:
     every digit shares one basis, the subspace of V that fixes the qudit. Else
-    the one digit has weight 1.0, ``kept`` is ``state`` and ``pivot`` None."""
+    the weights are one-hot at the qudit's one digit, ``kept`` is ``state``
+    and ``pivot`` None."""
     d, col = state.d, _column(state, position)
+    check_branches(d)
     rows = np.flatnonzero(state.basis[:, col])
     if rows.size == 0:
-        return [1.0], [int(state.offset[col])], state, None
-    check_branches(d)
+        return (np.arange(d) == state.offset[col]).astype(float), state, None
     # Scale one row to 1 at the qudit and clear the qudit from the others.
     pivot = state.basis[rows[0]] * pow(int(state.basis[rows[0], col]), -1, d) % d
     rest = np.delete(state.basis, rows[0], axis=0)
     rest = (rest - rest[:, col:col + 1] * pivot) % d
     kept = (state.offset - state.offset[col] * pivot) % d  # digit 0 at the qudit
-    return np.full(d, 1.0 / d), range(d), AffineState(d, kept, rest), pivot
+    return np.full(d, 1.0 / d), AffineState(d, kept, rest), pivot
 
 
 def _dual(basis: np.ndarray, d: int) -> tuple[np.ndarray, list[int], list[int]]:

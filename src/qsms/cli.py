@@ -217,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if d >= INT64_MODULUS_BOUND:  # no exact int64 check; d^t is past the dense guard
         qudit.check_guard(d, t)
     # The protocol's own exact check at any t, then the dense one where d^t fits.
-    _, _, outcomes = post_transform(shadows, d)
+    _, outcomes = post_transform(shadows, d)
     exact = affine.is_summation_coset(outcomes, sum(shadows))
     print(f"exact coset check: {'passed' if exact else 'FAILED'}")
     state = qudit.post_transform_state(shadows, d)

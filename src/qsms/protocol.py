@@ -15,7 +15,7 @@ import json
 import operator
 import types
 from dataclasses import dataclass, fields
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,11 +31,11 @@ from .zmod import (DimensionGuardError, FieldElement, check_int64_modulus, is_pr
 # The send a tap sees: the initiator's particle to slot 2. The GHZ legs are
 # symmetric, and every t >= 2 has this one.
 TAP_POSITION = 2
-# Middleware hook on that send: state -> (weights, labels, kept), one probability
-# (summing to 1) and one label per outcome, and the one state every outcome leaves
-# up to an offset, which the Fourier layer turns into phases. ([1.0], [None],
-# state) passes the state on; the honest path has no tap.
-QuantumTap = Callable[[AffineState], tuple[Sequence[float], Sequence[Hashable], AffineState]]
+# Middleware hook on that send: state -> (weights, kept), one probability per
+# outcome (summing to 1), and the one state every outcome leaves up to an offset,
+# which the Fourier layer turns into phases. ([1.0], state) passes the state on;
+# the honest path has no tap.
+QuantumTap = Callable[[AffineState], tuple[Sequence[float], AffineState]]
 
 # Shots whose outcome rows and per-shot sums ``write_json`` formats at once.
 SHOTS_PER_BLOCK = 1024
@@ -283,23 +283,21 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
 
 def send_ghz(t: int, d: int, tap: QuantumTap | None = None) -> tuple:
     """Step 4: the initiator prepares the GHZ state and, when t >= 2, sends the
-    leg to ``TAP_POSITION`` through ``tap``. Returns the tap's (weights, labels,
-    kept), one label per weight (else ``ValueError``), or ([1.0], [None], GHZ)."""
+    leg to ``TAP_POSITION`` through ``tap``. Returns the tap's (weights, kept),
+    or ([1.0], GHZ)."""
     ghz = affine.prepare_ghz(t, d)
     if tap is None or t < TAP_POSITION:
-        return [1.0], [None], ghz
-    weights, labels, kept = tap(ghz)
+        return [1.0], ghz
+    weights, kept = tap(ghz)
     affine.check_branches(len(weights))
-    if len(labels) != len(weights):
-        raise ValueError(f"tap returned {len(weights)} weights but {len(labels)} labels")
-    return weights, labels, kept
+    return weights, kept
 
 
 def post_transform(shadows: Sequence[int], d: int, tap: QuantumTap | None = None) -> tuple:
-    """Steps 4-5: ``send_ghz``'s weights and labels, and the one state the QFT
-    and X^{shadow_u} in every slot u turn its kept state into."""
-    weights, labels, kept = send_ghz(len(shadows), d, tap)
-    return weights, labels, affine.fourier_shift(kept, shadows)
+    """Steps 4-5: ``send_ghz``'s weights, and the one state the QFT and
+    X^{shadow_u} in every slot u turn its kept state into."""
+    weights, kept = send_ghz(len(shadows), d, tap)
+    return weights, affine.fourier_shift(kept, shadows)
 
 
 def branch_counts(weights, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -322,7 +320,6 @@ class PhaseOutcomes:
 
     digits: np.ndarray  # (shots, t) in digit_dtype(d), qudit 1 first
     counts: np.ndarray  # (branches,) int64: the shots drawn in each tap branch
-    labels: list[Hashable]  # per tap branch, the tap's label (None with no tap)
 
     def __len__(self) -> int:  # perfbench/tracer.py counts shots with it
         return len(self.digits)
@@ -342,12 +339,12 @@ def run_quantum_phase(
     ``tap`` intercepts the initiator's send to ``TAP_POSITION`` before any
     QFT is applied; it is how adversaries are wired in.
     """
-    weights, labels, state = post_transform(shadows, d, tap)
+    weights, state = post_transform(shadows, d, tap)
     # Honest, before any draw: the support is exactly {x : Σx ≡ Σ shadows}.
     if tap is None and not affine.is_summation_coset(state, sum(shadows)):
         raise AssertionError("honest post-transform state is not the summation coset")
     counts = branch_counts(weights, shots, rng)  # first: the digit draw follows it
-    return PhaseOutcomes(affine.sample(state, shots, rng), counts, list(labels))
+    return PhaseOutcomes(affine.sample(state, shots, rng), counts)
 
 
 def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
@@ -447,9 +444,7 @@ class ProtocolTranscript(PreparedRun):
     """A run: its classical phase, then its quantum phase's outcomes and result."""
 
     outcomes: np.ndarray  # (shots, t) measured digits, in digit_dtype(d)
-    # Not serialized: the shots in each tap branch, and each branch's label.
-    tap_counts: np.ndarray  # (branches,) int64, in tap_labels' order
-    tap_labels: list[Hashable]
+    tap_counts: np.ndarray  # (branches,) int64, the shots per tap branch; not serialized
     per_shot_sums: np.ndarray  # (shots,) in digit_dtype(d)
     result: int
 
@@ -594,5 +589,5 @@ def run_protocol(
     if tap is None and (sums != sums[0]).any():
         raise AssertionError("honest run produced non-constant per-shot sums")
     return ProtocolTranscript(**vars(prepared), outcomes=phase.digits,
-                              tap_counts=phase.counts, tap_labels=phase.labels,
-                              per_shot_sums=sums, result=int(sums[0]))
+                              tap_counts=phase.counts, per_shot_sums=sums,
+                              result=int(sums[0]))

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsms import adversary, affine, cli, protocol
 from qsms.adversary import (
+    AttackReport,
     ThresholdReachedError,
     collusion_inference,
     intercept_and_measure,
@@ -19,7 +21,7 @@ from qsms.affine import AffineState, support_mask
 from qsms.protocol import ConfigError, RunConfig, post_transform, run_protocol
 from qsms.qudit import prepare_ghz
 from qsms.shamir import Share
-from qsms.zmod import FieldElement
+from qsms.zmod import DimensionGuardError, FieldElement, is_prime
 
 
 def test_tv_distance():
@@ -59,19 +61,27 @@ def test_intercept_secret_independence():
     assert report.tv_distances[key] <= 0.02
 
 
+def _product_state(t, d):
+    """|0...0>: the state of a protocol that sent no GHZ state."""
+    return AffineState(d, np.zeros(t, dtype=np.int64), np.zeros((0, t), dtype=np.int64))
+
+
 def test_intercept_observes_the_state_the_protocol_sends(monkeypatch):
     # A protocol that sent |0...0> instead of the GHZ state would hand the
     # eavesdropper a fixed digit; the check must catch it.
-    from qsms import affine
-
-    def product_state(t, d):
-        return AffineState(d, np.zeros(t, dtype=np.int64), np.zeros((0, t), dtype=np.int64))
-
-    monkeypatch.setattr(affine, "prepare_ghz", product_state)
+    monkeypatch.setattr(affine, "prepare_ghz", _product_state)
     report = intercept_and_measure(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=1000),
                                    [(2, 3), (7, 9)])
     assert not report.passed
     assert report.guess_rate == 1.0
+
+
+def test_intercept_resend_observes_the_state_the_protocol_sends(monkeypatch):
+    # The same broken protocol under the resending attacker: every shot reads digit 0.
+    monkeypatch.setattr(affine, "prepare_ghz", _product_state)
+    report = intercept_resend(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=1000))
+    assert not report.passed
+    assert report.guess_rate == 1.0 and report.distributions["attacker"] == {"0": 1.0}
 
 
 def test_intercept_requires_two_pairs(capsys):
@@ -112,8 +122,7 @@ def test_collapse_branches_aggregate_equals_exact_oracle(d):
     # Exact, no sampling: weight each branch's post-transform distribution
     # and fold it onto the aggregate digit sum.
     shadows = (1, d - 1)
-    weights, labels, state = post_transform(shadows, d, tap=measure_leg)
-    assert list(labels) == list(range(d))
+    weights, state = post_transform(shadows, d, tap=measure_leg)
     np.testing.assert_allclose(weights, np.full(d, 1 / d), atol=1e-12)
     # Every branch ends in the one post-transform state.
     joint = sum(w * support_mask(state) / support_mask(state).sum() for w in weights)
@@ -254,7 +263,7 @@ def test_negative_margin_fails_the_report(bound, monkeypatch):
 def test_no_tap_control_identical_to_honest():
     cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=16, seed=7)
     honest = run_protocol(cfg)
-    controlled = run_protocol(cfg, tap=lambda state: ([1.0], [None], state))
+    controlled = run_protocol(cfg, tap=lambda state: ([1.0], state))
     assert controlled.to_json() == honest.to_json()
 
 
@@ -400,6 +409,13 @@ def test_collusion_rejects_a_wrong_modulus(shares, d, match):
         collusion_inference(shares, t=3, d=d)
 
 
+@pytest.mark.parametrize("t, d, name", [(None, 11, "t"), ("3", 11, "t"), (2.0, 11, "t"),
+                                        (True, 11, "t"), (3, None, "d"), (3, "11", "d")])
+def test_collusion_rejects_a_non_integer_t_or_d(t, d, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+        collusion_inference(_paper_shares()[:2], t=t, d=d)
+
+
 def test_collusion_single_colluder_d5():
     cfg = RunConfig(secrets=(3,), n=3, t=2, d=5, shots=1, seed=8)
     transcript = run_protocol(cfg)
@@ -419,6 +435,20 @@ def test_dealt_shares_are_the_shares_a_run_deals(config):
     players = [3, 1]
     want = run_protocol(config).combined_shares
     assert adversary.dealt_shares(config.resolved(), players) == [want[2], want[0]]
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(secrets=(2, 3), n=7, t=3, shots=100),
+    # d outside [n, 2n]: its resolution was checked with the allowance.
+    RunConfig(secrets=(2, 3), n=7, t=3, d=101, shots=100, seed=5,
+              allow_out_of_range_prime=True),
+])
+def test_attacks_take_a_run_config_or_its_resolution(config):
+    pairs, resolved = [(2, 3), (7, 9)], config.resolved()
+    assert (intercept_and_measure(resolved, pairs).to_json()
+            == intercept_and_measure(config, pairs).to_json())
+    assert intercept_resend(resolved).to_json() == intercept_resend(config).to_json()
+    assert adversary.dealt_shares(resolved, [3, 1]) == adversary.dealt_shares(config, [3, 1])
 
 
 @pytest.mark.parametrize("players", [[0, 7], [-1], [1, 8], [2, 2]])
@@ -500,3 +530,68 @@ def test_post_transform_leg_marginal_uniform():
     for pos in range(1, 4):
         np.testing.assert_allclose(marginal_distribution(state, pos),
                                    np.full(11, 1 / 11), atol=1e-12)
+
+
+# Fuzzed attack arguments stay small: n <= 12, shots <= 300, collusion's d <= 40.
+_ARG_INT = st.integers(-2, 40)
+_ARG = st.one_of(_ARG_INT, st.none(), st.booleans(), st.floats(-1, 40), st.text(max_size=3),
+                 st.lists(_ARG_INT, max_size=3))
+_ARG_LIST = st.one_of(st.lists(_ARG_INT, max_size=4), _ARG)
+_ARG_ROWS = st.one_of(st.lists(st.lists(_ARG_INT, max_size=4), max_size=3), _ARG)
+# Two or three secret tuples, each secret below every d a fuzzed config may have.
+_SECRET_PAIRS = st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=3), min_size=2,
+                         max_size=3)
+# Config fields a fuzzed config may replace; d also beyond the branch guard.
+_CONFIG_FIELDS = {"secrets": _ARG_LIST, "n": _ARG, "t": _ARG, "shots": _ARG, "seed": _ARG,
+                  "d": st.one_of(_ARG, st.sampled_from([4099, 2**31 - 1])),
+                  "qualified": _ARG_LIST, "evaluation_points": _ARG_LIST,
+                  "polynomials": _ARG_ROWS}
+
+
+@st.composite
+def _attack_configs(draw):
+    """A valid config (n <= 12, prime d in [n, 2n] or left out) with up to
+    three fields replaced, as a RunConfig or, if it resolves, its resolution."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.sampled_from([None, *[p for p in range(n, 2 * n + 1) if is_prime(p)]]))
+    fields = {"secrets": draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)),
+              "n": n, "t": draw(st.integers(2, n)), "d": d,
+              "shots": draw(st.integers(1, 300)), "seed": draw(st.integers(0, 2**64))}
+    for key in draw(st.lists(st.sampled_from(sorted(_CONFIG_FIELDS)), max_size=3)):
+        fields[key] = draw(_CONFIG_FIELDS[key])
+    config = RunConfig(**fields, allow_out_of_range_prime=draw(st.booleans()))
+    if draw(st.booleans()):
+        try:
+            return config.resolved()
+        except (ConfigError, DimensionGuardError):
+            pass
+    return config
+
+
+@st.composite
+def _colluder_shares(draw):
+    """(shares, t, d): Share records at nonzero points of one Z_p, p <= 13,
+    and t and d near a coalition's, either of them possibly replaced."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    shares = draw(st.lists(st.builds(lambda x, v: Share(FieldElement(x, p), FieldElement(v, p)),
+                                     st.integers(1, p - 1), _ARG_INT), max_size=5))
+    return (shares, draw(st.one_of(st.integers(1, 6), _ARG)),
+            draw(st.one_of(st.just(p), _ARG)))
+
+
+# One bug reported at a time: pytest takes minutes to render several at once.
+@settings(max_examples=200, deadline=None, report_multiple_bugs=False)
+@given(config=_attack_configs(), colluders=_ARG_LIST, coalition=_colluder_shares(),
+       pairs=st.one_of(_SECRET_PAIRS, st.lists(_ARG_LIST, max_size=3), _ARG))
+def test_attack_entry_points_raise_only_clean_errors(config, pairs, colluders, coalition):
+    # Every attack entry point of the Python API reports, or refuses its
+    # arguments with a ConfigError, a guard or a legitimate reconstruction.
+    attacks = [lambda: intercept_and_measure(config, pairs), lambda: intercept_resend(config),
+               lambda: adversary.dealt_shares(config, colluders),
+               lambda: collusion_inference(*coalition)]
+    for attack in attacks:
+        try:
+            result = attack()
+        except (ConfigError, DimensionGuardError, ThresholdReachedError):
+            continue
+        assert isinstance(result, (AttackReport, list))

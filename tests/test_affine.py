@@ -26,20 +26,21 @@ def dense_branches(shadows, d, collapse):
 
 
 def collapse_branches(state, position):
-    """``affine.collapse`` as one (weight, digit, collapsed state) per digit:
-    digit c's state is the kept one with offset ``kept.offset + c * pivot``."""
-    weights, digits, kept, pivot = affine.collapse(state, position)
+    """``affine.collapse`` as one (weight, digit, collapsed state) per digit of
+    nonzero weight: digit c's state is the kept one with offset
+    ``kept.offset + c * pivot``, or the kept one itself if the qudit does not vary."""
+    weights, kept, pivot = affine.collapse(state, position)
     if pivot is None:
-        return [(weights[0], digits[0], kept)]
+        (digit,) = np.flatnonzero(weights).tolist()
+        return [(1.0, digit, kept)]
     return [(w, c, affine.AffineState(kept.d, (kept.offset + c * pivot) % kept.d, kept.basis))
-            for w, c in zip(weights, digits)]
+            for c, w in enumerate(weights)]
 
 
 def collapse_marginal(state, position):
     """One qudit's computational-basis distribution on the affine engine:
-    each ``collapse`` weight scattered to its digit over Z_d."""
-    weights, digits, _, _ = affine.collapse(state, position)
-    return np.bincount(digits, weights, state.d)
+    ``collapse``'s weights, weight c digit c's."""
+    return affine.collapse(state, position)[0]
 
 
 def _assert_same_branches(branches, oracle):
@@ -67,12 +68,14 @@ def test_affine_engine_matches_dense_engine(data):
     def tap(state):
         marginals.append(collapse_marginal(state, 2))
         sent.append(state)
-        return affine.collapse(state, 2)[:3] if collapse else ([1.0], [None], state)
+        return affine.collapse(state, 2)[:2] if collapse else ([1.0], state)
 
-    weights, labels, shifted = post_transform(shadows, d, tap)
+    weights, shifted = post_transform(shadows, d, tap)
     oracle, oracle_marginals = dense_branches(shadows, d, collapse)
-    # Every branch ends in the one post-transform state.
-    _assert_same_branches([(w, lb, shifted) for w, lb in zip(weights, labels)], oracle)
+    # Every branch ends in the one post-transform state; a collapse's weight c
+    # is digit c's, the one branch of no collapse has no digit.
+    digits = range(d) if len(weights) > 1 else [None]
+    _assert_same_branches([(w, c, shifted) for w, c in zip(weights, digits)], oracle)
     if collapse and sent:  # each digit's collapsed state, before the Fourier layer
         _assert_same_branches(collapse_branches(sent[0], 2),
                               qudit.collapse_branches(qudit.prepare_ghz(len(shadows), d), 2))
@@ -106,7 +109,7 @@ def test_collapses_in_sequence_match_dense_engine(data):
     oracle = [(1.0, (), qudit.prepare_ghz(t, d))]
     if data.draw(st.booleans()):
         shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
-        branches = [(1.0, (), post_transform(shadows, d)[2])]
+        branches = [(1.0, (), post_transform(shadows, d)[1])]
         oracle = [(w, (), s) for w, _, s in dense_branches(shadows, d, collapse=False)[0]]
     for position in [*positions, None]:
         for (_, _, state), (_, _, dense) in zip(branches, oracle):
@@ -118,6 +121,26 @@ def test_collapses_in_sequence_match_dense_engine(data):
             branches = _collapse_each(branches, collapse_branches, position)
             oracle = _collapse_each(oracle, _dense_collapse, position)
             _assert_same_branches(branches, oracle)
+
+
+@pytest.mark.parametrize("d", [2, 11, 4093])
+def test_collapse_of_a_fixed_qudit_is_one_hot_at_its_digit(d):
+    # Qudit 2 does not vary on the support {(r, 5, 2 + r)}: one weight per
+    # digit of Z_d, all of it on the offset's digit, and the state kept as it is.
+    state = affine.AffineState(d, np.array([0, 5 % d, 2 % d]), np.array([[1, 0, 1]]))
+    weights, kept, pivot = affine.collapse(state, 2)
+    assert weights.shape == (d,) and weights.dtype == np.float64
+    assert np.flatnonzero(weights).tolist() == [5 % d] and weights[5 % d] == 1.0
+    assert kept is state and pivot is None
+    np.testing.assert_array_equal(affine.collapse(state, 1)[0], np.full(d, 1 / d))
+
+
+def test_collapse_counts_a_fixed_qudit_against_the_guard(monkeypatch):
+    # Its one-hot weights hold d entries, so d is checked before they are built.
+    monkeypatch.setattr(affine, "BRANCH_GUARD", 10)
+    state = affine.AffineState(11, np.zeros(3, dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(affine.DimensionGuardError, match="^11 tap branches exceed guard 10$"):
+        affine.collapse(state, 2)
 
 
 @pytest.mark.parametrize("d,t", [(2, 1), (2, 5), (3, 4), (11, 3)])

@@ -183,7 +183,7 @@ def test_run_path_stays_off_the_dense_engine(monkeypatch):
     assert run_protocol(PAPER_CONFIG).result == 5
 
     tapped = run_protocol(PAPER_CONFIG, tap=measure_leg)
-    assert sorted(set(tapped.tap_labels)) == list(range(11))
+    assert len(tapped.tap_counts) == 11 and tapped.tap_counts.sum() == PAPER_CONFIG.shots
     for argv in (["--kind", "intercept"], ["--kind", "intercept-resend"],
                  ["--kind", "collusion", "--colluders", "1,2"]):
         assert cli.main(["attack", "--shots", "2000", *argv]) == cli.EXIT_OK
@@ -191,14 +191,20 @@ def test_run_path_stays_off_the_dense_engine(monkeypatch):
 
 def test_tap_probabilities_must_sum_to_one():
     with pytest.raises(ValueError, match=r"^tap branch probabilities sum to 0.25, not 1$"):
-        run_protocol(PAPER_CONFIG, tap=lambda state: ([0.25], [None], state))
+        run_protocol(PAPER_CONFIG, tap=lambda state: ([0.25], state))
+    # A tap with no branches is refused too, before anything is drawn.
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^tap branch probabilities sum to 0.0, not 1$"):
+        run_quantum_phase([1, 2, 3, 4], 5, 300, rng, tap=lambda state: ([], state))
+    assert rng.bit_generator.state == before
 
 
 def _weighted_tap(weights):
     """A tap that splits the send to slot 2 into one branch per weight, every
     branch passing the state on unchanged."""
     def tap(state):
-        return weights, list(range(len(weights))), state
+        return weights, state
     return tap
 
 
@@ -265,10 +271,10 @@ SMALL_SHAPES = [(d, t) for d in (2, 3, 5, 7, 11, 13) for t in range(1, 13)
 def test_sampled_distribution_matches_analytic_state(data):
     d, t = data.draw(st.sampled_from(SMALL_SHAPES))
     shadows = data.draw(st.lists(st.integers(0, d - 1), min_size=t, max_size=t))
-    weights, labels, state = post_transform(shadows, d)
+    weights, state = post_transform(shadows, d)
     support = support_mask(state)
     analytic = np.abs(analytic_post_transform_state(t, d, shadows).amplitudes) ** 2
-    assert list(weights) == [1.0] and list(labels) == [None]
+    assert list(weights) == [1.0]
     np.testing.assert_allclose(support / support.sum(), analytic, rtol=0, atol=1e-9)
     # The exact check is the support's own criterion: the summation coset.
     digit_sums = np.indices((d,) * t).reshape(t, -1).sum(axis=0) % d
@@ -287,7 +293,7 @@ def test_tap_branches_count_against_guard(monkeypatch):
 
     def tap(state):
         calls.append(state)
-        return [1 / 4097] * 4097, range(4097), state
+        return [1 / 4097] * 4097, state
 
     with pytest.raises(DimensionGuardError, match="^4097 tap branches exceed guard 4096$"):
         run_quantum_phase([0] * 3, 2, 8, np.random.default_rng(0), tap=tap)
@@ -310,8 +316,8 @@ def test_collapse_beyond_guard_is_refused_before_its_branches_are_built(monkeypa
 
 
 def test_tap_sees_the_one_send_to_slot_2(monkeypatch):
-    # Called once, on the GHZ state itself, whatever t is; its labels are the
-    # transcript's, one per branch.
+    # Called once, on the GHZ state itself, whatever t is; the transcript
+    # counts the shots in each of its branches.
     prepared, calls = [], []
 
     def prepare_ghz(t, d, original=affine.prepare_ghz):
@@ -320,16 +326,16 @@ def test_tap_sees_the_one_send_to_slot_2(monkeypatch):
 
     def tap(state):
         calls.append(state)
-        return [0.25, 0.75], ["kept", "again"], state
+        return [0.25, 0.75], state
 
     monkeypatch.setattr(affine, "prepare_ghz", prepare_ghz)
     cfg = RunConfig(secrets=(1, 2), n=7, t=5, d=11, shots=64, seed=3)
     transcript = run_protocol(cfg, tap=tap)
     assert len(prepared) == 1 and len(calls) == 1 and calls[0] is prepared[0]
-    assert transcript.tap_labels == ["kept", "again"]
-    # With t = 1 there is no send, so no tap.
+    assert len(transcript.tap_counts) == 2 and transcript.tap_counts.sum() == 64
+    # With t = 1 there is no send, so no tap: one branch takes every shot.
     phase = run_quantum_phase([6], 11, 4, np.random.default_rng(0), tap=tap)
-    assert len(calls) == 1 and phase.labels == [None]
+    assert len(calls) == 1 and phase.counts.tolist() == [4]
 
 
 def _per_branch_quantum_phase(shadows, d, shots, rng, branches):
@@ -337,31 +343,31 @@ def _per_branch_quantum_phase(shadows, d, shots, rng, branches):
     each branch from ``rng.multinomial``, then one coefficient draw for every
     shot in shot order, the shots of branch 0 first: shot j's digits are
     offset + r_j @ basis mod d in its own branch's state. ``branches`` maps
-    the GHZ state to one (probability, label, state) per branch. The oracle
-    for the shared layer and draw of ``run_quantum_phase``."""
+    the GHZ state to one (probability, state) per branch. The oracle for the
+    shared layer and draw of ``run_quantum_phase``."""
     branches = branches(affine.prepare_ghz(len(shadows), d))
-    states = [affine.fourier_shift(state, shadows) for _, _, state in branches]
-    weights = np.array([weight for weight, _, _ in branches])
+    states = [affine.fourier_shift(state, shadows) for _, state in branches]
+    weights = np.array([weight for weight, _ in branches])
     counts = rng.multinomial(shots, weights / weights.sum())
     coeffs = rng.integers(0, d, size=(shots, len(states[0].basis)))
     branch = np.repeat(np.arange(len(states)), counts)
     digits = np.array([(states[b].offset + r @ states[b].basis) % d
                        for b, r in zip(branch.tolist(), coeffs)], dtype=np.int64)
-    return digits, counts, [label for _, label, _ in branches]
+    return digits, counts
 
 
 def _collapsed_legs(state):
     """``measure_leg``'s outcomes as one branch per digit, each with its own
     collapsed state: the kept state's offset plus the digit times the pivot."""
-    weights, digits, kept, pivot = affine.collapse(state, 2)
-    return [(w, c, affine.AffineState(state.d, (kept.offset + c * pivot) % state.d,
-                                      kept.basis))
-            for w, c in zip(weights, digits)]
+    weights, kept, pivot = affine.collapse(state, 2)
+    return [(w, affine.AffineState(state.d, (kept.offset + c * pivot) % state.d,
+                                   kept.basis))
+            for c, w in enumerate(weights)]
 
 
 # Taps on the send to slot 2, each with its branches, one state per branch.
 _LEG_TAPS = {
-    None: (None, lambda state: [(1.0, None, state)]),
+    None: (None, lambda state: [(1.0, state)]),
     "collapse": (measure_leg, _collapsed_legs),
 }
 
@@ -384,25 +390,10 @@ def test_run_quantum_phase_matches_per_branch_oracle(case):
     shadows, d, shots, seed, name = case
     tap, branches = _LEG_TAPS[name]
     phase = run_quantum_phase(shadows, d, shots, np.random.default_rng(seed), tap=tap)
-    digits, counts, labels = _per_branch_quantum_phase(
+    digits, counts = _per_branch_quantum_phase(
         shadows, d, shots, np.random.default_rng(seed), branches)
     np.testing.assert_array_equal(phase.digits, digits)
     np.testing.assert_array_equal(phase.counts, counts)
-    assert phase.labels == labels
-
-
-def test_tap_labels_must_match_its_weights():
-    # One label per weight; a tap with none of either is refused too, by the
-    # weights' sum. Both before anything is drawn.
-    rng = np.random.default_rng(2)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match="^tap returned 2 weights but 1 labels$"):
-        run_quantum_phase([1, 2, 3, 4], 5, 300, rng,
-                          tap=lambda state: ([0.5, 0.5], ["pass"], state))
-    assert rng.bit_generator.state == before
-    with pytest.raises(ValueError, match="^tap branch probabilities sum to 0.0, not 1$"):
-        run_quantum_phase([1, 2, 3, 4], 5, 300, rng, tap=lambda state: ([], [], state))
-    assert rng.bit_generator.state == before
 
 
 def _short_dual(basis, d, original=affine._dual):
@@ -438,7 +429,7 @@ def test_honest_run_checks_the_summation_coset_before_drawing(name, mutant, monk
     # any count: the short dual keeps the result (5) on 11 of the 121 coset
     # rows, the shifted offset gives 6. The exact check fails each at 1 shot.
     monkeypatch.setattr(affine, name, mutant)
-    assert not affine.is_summation_coset(post_transform([5, 4, 7], 11)[2], 16)
+    assert not affine.is_summation_coset(post_transform([5, 4, 7], 11)[1], 16)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(AssertionError,
