@@ -16,12 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from . import affine
-from .protocol import (TAP_POSITION, ConfigError, ResolvedConfig, RunConfig, _integer,
-                       _json_value, _sequence, branch_counts, combine, deal,
-                       run_generators, run_protocol, send_ghz)
+from .protocol import (TAP_POSITION, ResolvedConfig, RunConfig, _json_value, branch_counts,
+                       combine, deal, resolve, run_generators, run_protocol, send_ghz)
 from .protocol import prepare_run  # noqa: F401 (not called: perfbench/tracer.py patches it)
 from .shamir import Share
-from .zmod import FieldElement, is_prime, row_reduce
+from .zmod import ConfigError, FieldElement, _integer, _sequence, is_prime, row_reduce
 
 
 class ThresholdReachedError(ValueError):
@@ -132,8 +131,8 @@ def intercept_and_measure(config: RunConfig | ResolvedConfig,
     secret_pairs = _sequence("secret_pairs", secret_pairs, _sequence)
     if len(secret_pairs) < 2:
         raise ConfigError("need at least two secret tuples to compare")
-    if isinstance(config, ResolvedConfig):  # its d was checked when it was resolved
-        config = RunConfig(**vars(config), allow_out_of_range_prime=True)
+    if not isinstance(config, RunConfig):  # a resolved d was checked when it was resolved
+        config = RunConfig(**vars(resolve(config)), allow_out_of_range_prime=True)
     configs = [replace(config, secrets=pair).resolved() for pair in secret_pairs]
     d, shots = configs[0].d, configs[0].shots
     _, rng = run_generators(configs[0].seed)
@@ -186,7 +185,7 @@ def dealt_shares(config: RunConfig | ResolvedConfig, players: Sequence[int]) -> 
     """The combined shares ``run_protocol(config)`` deals to ``players``
     (distinct indices in 1..n, else a ``ConfigError``), from the same deal
     generator; no shadow is computed and no quantum phase runs."""
-    config = config.resolved() if isinstance(config, RunConfig) else config
+    config = resolve(config)
     # Player 0 or -1 would silently take a share from the end of the list.
     players = _sequence("colluders", players)
     if len(set(players)) != len(players) or not all(1 <= i <= config.n for i in players):
@@ -208,6 +207,8 @@ def collusion_inference(
     individual dealer secret, so every residue should survive.
     """
     t, d = _integer("t", t), _integer("d", d)
+    if t < 1:
+        raise ConfigError(f"threshold must satisfy t >= 1, got t={t}")
     if not is_prime(d):
         raise ConfigError(f"d={d} is not prime")
     moduli = sorted({share.x.modulus for share in colluder_shares} - {d})
@@ -219,18 +220,20 @@ def collusion_inference(
         )
     # Coefficients a_0..a_{t-1}, secret s = a_0: the shares say
     # sum_{j>=1} x^j a_j + s = y at each colluder's x. Row reduce
-    # [x^1 .. x^{t-1} | 1 | y] with the s column after the other unknowns.
+    # [x^1 .. x^m | 1 | y], s after the other unknowns; x^j repeats with
+    # period d - 1 in j >= 1, so columns past m = min(t - 1, d - 1) add none.
+    m = min(t - 1, d - 1)
     system = np.array(
-        [[pow(share.x.value, j, d) for j in (*range(1, t), 0)] + [share.value.value]
+        [[pow(share.x.value, j, d) for j in (*range(1, m + 1), 0)] + [share.value.value]
          for share in colluder_shares],
         dtype=np.int64,
-    ).reshape(len(colluder_shares), t + 1)
+    ).reshape(len(colluder_shares), m + 2)
     reduced, pivots = row_reduce(system, d)
-    rank = sum(p < t - 1 for p in pivots)
-    # The rows with no pivot among a_1..a_{t-1} say alpha * s = beta; each
+    rank = sum(p < m for p in pivots)
+    # The rows with no pivot among a_1..a_m say alpha * s = beta; each
     # secret satisfying all of them leaves d^(t-1-rank) polynomials, so the
     # candidates are equally likely.
-    alpha, beta = reduced[rank:, t - 1], reduced[rank:, t]
+    alpha, beta = reduced[rank:, m], reduced[rank:, m + 1]
     secrets = np.arange(d, dtype=np.int64)
     consistent = ((secrets[:, None] * alpha - beta) % d == 0).all(axis=1)
     candidates = np.flatnonzero(consistent).tolist()

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import types
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,8 +24,9 @@ from .shamir import Share, Shadow
 # Not called here: perfbench/tracer.py patches these names in this module
 # until it is rebuilt on spans (ROADMAP item 1).
 from .shamir import add_shares, compute_shadow, generate_shares  # noqa: F401
-from .zmod import (DimensionGuardError, FieldElement, check_int64_modulus, is_prime,
-                   lagrange_weights, residues, smallest_valid_prime)
+from .zmod import (ConfigError, DimensionGuardError, FieldElement, _integer, _sequence,
+                   check_int64_modulus, check_points, is_prime, lagrange_weights, residues,
+                   smallest_valid_prime)
 
 # The send a tap sees: the initiator's particle to slot 2. The GHZ legs are
 # symmetric, and every t >= 2 has this one.
@@ -42,27 +42,6 @@ SHOTS_PER_BLOCK = 1024
 # Most share messages (dealers x n) a run may hold: writing the transcript
 # peaks at about 1 KiB per message, with its dealer share, 64 MiB at the guard.
 MESSAGE_GUARD = 2**16
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; bools, floats and strings are rejected."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _sequence(name: str, values, item=_integer) -> tuple:
-    """``values`` as a tuple of ``item(f"{name}[i]", value)``; a string is no list."""
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-        raise ConfigError(f"{name} must be a list, got {values!r}")
-    return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -149,8 +128,7 @@ class RunConfig:
                            range(1, n + 1) if points is None else points)
         if len(points) != n:
             raise ConfigError("need one evaluation point per player")
-        if len({p % d for p in points}) != n or any(p % d == 0 for p in points):
-            raise ConfigError("evaluation points must be distinct and nonzero mod d")
+        check_points(points, d)
         if shots < 1:
             raise ConfigError(f"shots must be >= 1, got {shots}")
         if seed < 0:
@@ -350,12 +328,22 @@ def run_quantum_phase(
 def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     """Step 7: each shot's broadcast digits sum to the secret total mod d.
 
-    ``digits`` holds one row per shot; returns one sum per shot in ``digit_dtype(d)``.
+    ``digits``, an integer array, holds one row per shot; returns one sum per
+    shot in ``digit_dtype(d)``. d must be a prime that passes ``check_int64_modulus``.
     """
-    digits = np.asarray(digits)
+    d = _integer("d", d)
+    if not is_prime(d):
+        raise ConfigError(f"d={d} is not prime")
+    check_int64_modulus(d)
+    try:
+        digits = np.asarray(digits)
+    except ValueError:  # a ragged list
+        digits = None
+    if digits is None or digits.ndim < 1 or not np.issubdtype(digits.dtype, np.integer):
+        raise ConfigError("digits must be an integer array of at least one dimension")
     if digits.size and (digits.min() < 0 or digits.max() >= d):
         outside = (digits < 0) | (digits >= d)
-        raise ValueError(f"digit {digits[outside][0]} outside [0, {d})")
+        raise ConfigError(f"digit {digits[outside][0]} outside [0, {d})")
     # One sum in the narrowest dtype that holds t * (d - 1), so one reduction
     # at the end is exact; a single row's sum stays a 0-d array.
     sums = digits.sum(axis=-1, dtype=np.min_scalar_type(digits.shape[-1] * (d - 1)))
@@ -578,10 +566,17 @@ class ProtocolTranscript(PreparedRun):
         fp.write("\n}")
 
 
+def resolve(config: RunConfig | ResolvedConfig) -> ResolvedConfig:
+    """``config`` resolved, or as it is if it already is a ``ResolvedConfig``."""
+    if not isinstance(config, (RunConfig, ResolvedConfig)):
+        raise ConfigError(f"config is no RunConfig or ResolvedConfig: {type(config).__name__}")
+    return config.resolved() if isinstance(config, RunConfig) else config
+
+
 def run_protocol(
     config: RunConfig | ResolvedConfig, tap: QuantumTap | None = None
 ) -> ProtocolTranscript:
-    cfg = config.resolved() if isinstance(config, RunConfig) else config
+    cfg = resolve(config)
     deal_rng, shot_rng = run_generators(cfg.seed)
     prepared = prepare_run(cfg, deal_rng)
     phase = run_quantum_phase(prepared.shadows, cfg.d, cfg.shots, shot_rng, tap=tap)

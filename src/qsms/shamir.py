@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .zmod import FieldElement, lagrange_coefficient
+from .zmod import (ConfigError, FieldElement, _integer, _sequence, check_points,
+                   lagrange_coefficient)
 
 
 class InsufficientSharesError(ValueError):
@@ -92,15 +93,12 @@ class Shadow:
 
 def generate_shares(poly: Polynomial, points: Sequence[int], d: int) -> list[Share]:
     """Evaluate the dealer polynomial at each player's point."""
+    d, points = _integer("d", d), _sequence("points", points)
     if poly.modulus != d:
-        raise ValueError("polynomial modulus does not match d")
-    residues = [p % d for p in points]
-    if any(r == 0 for r in residues):
-        raise ValueError("evaluation points must be nonzero mod d")
-    if len(set(residues)) != len(residues):
-        raise ValueError("evaluation points must be distinct mod d")
+        raise ConfigError("polynomial modulus does not match d")
+    check_points(points, d)
     if len(points) < len(poly.coefficients):
-        raise ValueError("need at least threshold many evaluation points")
+        raise ConfigError("need at least threshold many evaluation points")
     return [Share(FieldElement(p, d), poly.evaluate(p)) for p in points]
 
 

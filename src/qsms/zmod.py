@@ -5,8 +5,10 @@ in the same process; mixing moduli is an error, never a silent coercion.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -15,6 +17,35 @@ _MAX_MODULUS = 2**63 - 1
 # Bulk int64 arithmetic is exact below this modulus: a product of two
 # residues stays below 2^62.
 INT64_MODULUS_BOUND = 2**31
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; bools, floats and strings are rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _sequence(name: str, values, item=_integer) -> tuple:
+    """``values`` as a tuple of ``item(f"{name}[i]", value)``; a string is no list."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(values))
+
+
+def check_points(points: Sequence[int], d: int) -> None:
+    """Shamir's rule for integer evaluation points: distinct and nonzero mod d,
+    since x = 0 holds the secret."""
+    reduced = {p % d for p in points}
+    if len(reduced) != len(points) or 0 in reduced:
+        raise ConfigError("evaluation points must be distinct (no duplicate) and nonzero mod d")
 
 
 class DimensionGuardError(ValueError):
@@ -66,11 +97,13 @@ class FieldElement:
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 2 or self.modulus > _MAX_MODULUS:
-            raise ValueError(f"modulus must be in [2, 2^63): got {self.modulus}")
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
+        modulus = _integer("modulus", self.modulus)
+        if not 2 <= modulus <= _MAX_MODULUS:
+            raise ConfigError(f"modulus must be in [2, 2^63): got {modulus}")
+        if not is_prime(modulus):
+            raise ConfigError(f"modulus {modulus} is not prime")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "value", _integer("value", self.value) % modulus)
 
     def _require_same_modulus(self, other: "FieldElement") -> None:
         if self.modulus != other.modulus:
@@ -104,17 +137,14 @@ def lagrange_coefficient(u: int, points: list[int], d: int) -> FieldElement:
     entirely in Z_d. ``u`` is 1-based. Differences are normalized into
     [0, d-1] before inversion, so signed fractions like 1/(1-2) are fine.
     """
+    u, points, d = _integer("u", u), _sequence("points", points), _integer("d", d)
+    coeff = FieldElement(1, d)  # checks d
     if len(points) < 1:
-        raise ValueError("need at least one evaluation point")
-    residues = [p % d for p in points]
-    if len(set(residues)) != len(residues):
-        raise ValueError(f"duplicate evaluation points mod {d}: {points}")
-    if any(r == 0 for r in residues):
-        raise ValueError("evaluation points must be nonzero mod d")
+        raise ConfigError("need at least one evaluation point")
+    check_points(points, d)
     if not 1 <= u <= len(points):
-        raise ValueError(f"index {u} out of range for {len(points)} points")
+        raise ConfigError(f"index {u} out of range for {len(points)} points")
     x_u = FieldElement(points[u - 1], d)
-    coeff = FieldElement(1, d)
     for z, p in enumerate(points, start=1):
         if z == u:
             continue
@@ -154,8 +184,9 @@ def smallest_valid_prime(n: int) -> int:
     """Smallest prime d with n < d <= 2n, so Z_d has n distinct nonzero
     evaluation points. Bertrand's postulate puts one there for every n >= 1.
     """
+    n = _integer("n", n)
     if n < 1:
-        raise ValueError("player count must be >= 1")
+        raise ConfigError("player count must be >= 1")
     return next(d for d in range(n + 1, 2 * n + 1) if is_prime(d))
 
 
