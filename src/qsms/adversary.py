@@ -20,7 +20,7 @@ from .protocol import (TAP_POSITION, ResolvedConfig, RunConfig, _json_value, bra
                        combine, deal, resolve, run_generators, run_protocol, send_ghz)
 from .protocol import prepare_run  # noqa: F401 (not called: perfbench/tracer.py patches it)
 from .shamir import Share
-from .zmod import ConfigError, FieldElement, _integer, _sequence, is_prime, row_reduce
+from .zmod import ConfigError, FieldElement, _integer, _sequence, check_modulus, row_reduce
 
 
 class ThresholdReachedError(ValueError):
@@ -206,11 +206,10 @@ def collusion_inference(
     Broadcast values reveal only the public sum, which constrains no
     individual dealer secret, so every residue should survive.
     """
-    t, d = _integer("t", t), _integer("d", d)
+    t = _integer("t", t)
     if t < 1:
         raise ConfigError(f"threshold must satisfy t >= 1, got t={t}")
-    if not is_prime(d):
-        raise ConfigError(f"d={d} is not prime")
+    d = check_modulus(d)
     moduli = sorted({share.x.modulus for share in colluder_shares} - {d})
     if moduli:
         raise ConfigError(f"shares over Z_{moduli[0]} analysed with d={d}")

@@ -17,7 +17,7 @@ import operator
 
 import numpy as np
 
-from .zmod import DimensionGuardError, check_int64_modulus, is_prime, row_reduce
+from .zmod import DimensionGuardError, check_modulus, row_reduce
 
 # Most outcomes a tap may return: one weight each, beside the one state they
 # all share.
@@ -68,9 +68,7 @@ def prepare_ghz(t: int, d: int) -> AffineState:
     """(1/sqrt(d)) sum_c |c>|c>...|c>: offset 0, basis the all-ones row."""
     if t < 1:
         raise ValueError("qudit count must be >= 1")
-    if not is_prime(d):
-        raise ValueError(f"qudit dimension {d} must be prime")
-    check_int64_modulus(d)
+    check_modulus(d)
     check_qudits(t)
     return AffineState(d, np.zeros(t, dtype=np.int64), np.ones((1, t), dtype=np.int64))
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import affine
 from .adversary import collusion_inference, dealt_shares, intercept_and_measure, intercept_resend
 from .protocol import ConfigError, RunConfig, post_transform, run_protocol
-from .zmod import INT64_MODULUS_BOUND, DimensionGuardError, is_prime
+from .zmod import DimensionGuardError, check_modulus
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -205,17 +205,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import qudit  # the dense oracle; no other command imports it
 
-    d, t = args.d, args.t
+    d, t = check_modulus(args.d), args.t  # first: a shadow's range [0, d) needs it
     shadows = list(args.shadows)
-    if not is_prime(d):  # first: a shadow's range [0, d) means nothing without it
-        raise ConfigError(f"d={d} is not prime")
     if len(shadows) != t:
         raise ConfigError(f"expected {t} shadows, got {len(shadows)}")
     for s in shadows:
         if not 0 <= s < d:
             raise ConfigError(f"shadow {s} outside [0, {d})")
-    if d >= INT64_MODULUS_BOUND:  # no exact int64 check; d^t is past the dense guard
-        qudit.check_guard(d, t)
     # The protocol's own exact check at any t, then the dense one where d^t fits.
     _, outcomes = post_transform(shadows, d)
     exact = affine.is_summation_coset(outcomes, sum(shadows))

@@ -21,20 +21,21 @@ import numpy as np
 from . import affine
 from .affine import OUTCOME_GUARD, AffineState, digit_dtype
 from .shamir import Share, Shadow
+from .zmod import (ConfigError, DimensionGuardError, FieldElement, _integer, _sequence,
+                   check_modulus, check_points, lagrange_weights, residues,
+                   smallest_valid_prime)
 # Not called here: perfbench/tracer.py patches these names in this module
 # until it is rebuilt on spans (ROADMAP item 1).
 from .shamir import add_shares, compute_shadow, generate_shares  # noqa: F401
-from .zmod import (ConfigError, DimensionGuardError, FieldElement, _integer, _sequence,
-                   check_int64_modulus, check_points, is_prime, lagrange_weights, residues,
-                   smallest_valid_prime)
+from .zmod import is_prime  # noqa: F401
 
 # The send a tap sees: the initiator's particle to slot 2. The GHZ legs are
 # symmetric, and every t >= 2 has this one.
 TAP_POSITION = 2
 # Middleware hook on that send: state -> (weights, kept), one probability per
-# outcome (summing to 1), and the one state every outcome leaves up to an offset,
-# which the Fourier layer turns into phases. ([1.0], state) passes the state on;
-# the honest path has no tap.
+# outcome, as ``send_ghz`` checks them, and the one state every outcome leaves up
+# to an offset, which the Fourier layer turns into phases. ([1.0], state) passes
+# the state on; the honest path has no tap.
 QuantumTap = Callable[[AffineState], tuple[Sequence[float], AffineState]]
 
 # Shots whose outcome rows and per-shot sums ``write_json`` formats at once.
@@ -102,9 +103,7 @@ class RunConfig:
         # The range check runs first: it is cheap, primality of a huge d is not.
         if not self.allow_out_of_range_prime and not n <= d <= 2 * n:
             raise ConfigError(f"d={d} outside [n, 2n] = [{n}, {2 * n}]")
-        if not is_prime(d):
-            raise ConfigError(f"d={d} is not prime")
-        check_int64_modulus(d)
+        check_modulus(d)
         secrets = _sequence("secrets", self.secrets)
         if not secrets:
             raise ConfigError("need at least one secret")
@@ -261,13 +260,26 @@ def prepare_run(config: ResolvedConfig, rng: np.random.Generator) -> PreparedRun
 
 def send_ghz(t: int, d: int, tap: QuantumTap | None = None) -> tuple:
     """Step 4: the initiator prepares the GHZ state and, when t >= 2, sends the
-    leg to ``TAP_POSITION`` through ``tap``. Returns the tap's (weights, kept),
-    or ([1.0], GHZ)."""
+    leg to ``TAP_POSITION`` through ``tap``. Returns (ones(1), GHZ) or the tap's
+    (weights, kept), the weights checked here once and as floats: a 1-D sequence of
+    numbers within the branch guard, finite, non-negative and summing to 1."""
     ghz = affine.prepare_ghz(t, d)
     if tap is None or t < TAP_POSITION:
-        return [1.0], ghz
+        return np.ones(1), ghz
     weights, kept = tap(ghz)
+    try:
+        weights = np.asarray(weights)
+    except ValueError:  # a ragged list
+        weights = np.empty(())
+    if weights.ndim != 1 or weights.dtype.kind not in "iuf":
+        raise ValueError("tap weights must be a 1-D sequence of numbers")
     affine.check_branches(len(weights))
+    weights = weights.astype(float, copy=False)
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValueError("tap branch probabilities must be finite and non-negative")
+    total = weights.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"tap branch probabilities sum to {total}, not 1")
     return weights, kept
 
 
@@ -278,18 +290,11 @@ def post_transform(shadows: Sequence[int], d: int, tap: QuantumTap | None = None
     return weights, affine.fourier_shift(kept, shadows)
 
 
-def branch_counts(weights, shots: int, rng: np.random.Generator) -> np.ndarray:
+def branch_counts(weights: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """How many of ``shots`` fall in each tap branch, from one
-    ``rng.multinomial`` of the branches' probabilities, which must be finite,
-    non-negative and sum to 1 (else ``ValueError``: so does a tap with no
-    branches). One branch takes every shot and draws nothing from ``rng``."""
-    weights = np.asarray(weights, dtype=float)
-    if not np.isfinite(weights).all() or (weights < 0).any():
-        raise ValueError("tap branch probabilities must be finite and non-negative")
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"tap branch probabilities sum to {total}, not 1")
-    return rng.multinomial(shots, weights / total)
+    ``rng.multinomial`` of ``weights``, as ``send_ghz`` returns and checks them,
+    over their sum. One branch takes every shot and draws nothing from ``rng``."""
+    return rng.multinomial(shots, weights / weights.sum())
 
 
 @dataclass(frozen=True)
@@ -328,18 +333,18 @@ def run_quantum_phase(
 def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     """Step 7: each shot's broadcast digits sum to the secret total mod d.
 
-    ``digits``, an integer array, holds one row per shot; returns one sum per
-    shot in ``digit_dtype(d)``. d must be a prime that passes ``check_int64_modulus``.
+    ``digits``, an integer array or nested lists of ints (no bools), holds one row
+    per shot; returns one sum per shot in ``digit_dtype(d)``. d passes ``check_modulus``.
     """
-    d = _integer("d", d)
-    if not is_prime(d):
-        raise ConfigError(f"d={d} is not prime")
-    check_int64_modulus(d)
+    d, values = check_modulus(d), digits
     try:
-        digits = np.asarray(digits)
+        digits = np.asarray(values)
     except ValueError:  # a ragged list
-        digits = None
-    if digits is None or digits.ndim < 1 or not np.issubdtype(digits.dtype, np.integer):
+        digits = np.empty(())
+    # numpy reads a list's bools beside its ints as 0 and 1; an array pays nothing.
+    if digits.ndim < 1 or not np.issubdtype(digits.dtype, np.integer) or (
+            not isinstance(values, np.ndarray)
+            and any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, object).flat)):
         raise ConfigError("digits must be an integer array of at least one dimension")
     if digits.size and (digits.min() < 0 or digits.max() >= d):
         outside = (digits < 0) | (digits >= d)

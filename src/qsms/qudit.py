@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .zmod import DimensionGuardError, is_prime
+from .zmod import DimensionGuardError, check_modulus
+from .zmod import is_prime  # noqa: F401 (not called here: perfbench/tracer.py patches it)
 
 DIMENSION_GUARD = 2**24
 
@@ -39,8 +40,7 @@ class QuditState:
     def __init__(self, d: int, t: int, amplitudes: Iterable[complex]):
         if t < 1:
             raise ValueError("qudit count must be >= 1")
-        if not is_prime(d):
-            raise ValueError(f"qudit dimension {d} must be prime")
+        check_modulus(d)
         check_guard(d, t)
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (d**t,):

@@ -59,6 +59,16 @@ def check_int64_modulus(d: int) -> None:
         raise DimensionGuardError(f"modulus {d} outside [2, 2^31) for exact int64 arithmetic")
 
 
+def check_modulus(d) -> int:
+    """``d`` as an int, by the one rule for a run's, a sum's or a state's modulus:
+    prime, checked first at any size, then in ``check_int64_modulus``'s range."""
+    d = _integer("d", d)
+    if not is_prime(d):
+        raise ConfigError(f"d={d} is not prime")
+    check_int64_modulus(d)
+    return d
+
+
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10^24, so for
 # every 64-bit n (Sorenson & Webster 2015).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -300,7 +300,7 @@ def test_share_messages_built_only_to_write_them(argv, monkeypatch, capsys):
 def test_verify_guard_holds_beyond_int64_modulus(capsys):
     assert main(["verify", "--d", str(2**31 + 11), "--t", "2",
                  "--shadows", "0,0"]) == EXIT_GUARD
-    assert capsys.readouterr().err.startswith("error: state dimension")
+    assert capsys.readouterr().err.startswith("error: modulus 2147483659 outside [2, 2^31)")
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,15 @@
 entry point raises a ConfigError (or a guard, a legitimate reconstruction,
 too few shares or an inverse of zero), never a bare TypeError or a silent
 coercion."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsms import (FieldElement, Polynomial, RunConfig, aggregate, collusion_inference,
                   generate_shares, lagrange_coefficient, run_protocol, smallest_valid_prime)
-from qsms import adversary, protocol, shamir, zmod
+from qsms import adversary, affine, cli, protocol, qudit, shamir, zmod
 from qsms.adversary import ThresholdReachedError
 from qsms.shamir import InsufficientSharesError, Share
 from qsms.zmod import ConfigError, DimensionGuardError
@@ -38,6 +40,34 @@ def test_three_callers_reject_the_same_points_with_one_message(points):
     assert len(messages) == 1
 
 
+# Each site that takes a modulus, checked by zmod.check_modulus alone.
+_MODULUS_SITES = {
+    "resolved": lambda d: RunConfig(secrets=(1,), n=7, t=3, d=d,
+                                    allow_out_of_range_prime=True).resolved(),
+    "aggregate": lambda d: aggregate([[1, 2]], d),
+    "collusion_inference": lambda d: collusion_inference([], t=3, d=d),
+    "verify": None,  # through cli.main: an exit code and one stderr line
+    "affine.prepare_ghz": lambda d: affine.prepare_ghz(2, d),
+    "qudit.QuditState": lambda d: qudit.QuditState(d, 1, [1.0]),
+}
+
+
+@pytest.mark.parametrize("d, error, match", [
+    (4, ConfigError, r"^d=4 is not prime$"),
+    (2**31 + 11, DimensionGuardError, r"^modulus 2147483659 outside \[2, 2\^31\)"),
+])
+@pytest.mark.parametrize("site", list(_MODULUS_SITES))
+def test_every_site_rejects_a_modulus_by_one_rule(site, d, error, match, capsys):
+    if site != "verify":
+        with pytest.raises(error, match=match):
+            _MODULUS_SITES[site](d)
+        return
+    code = cli.main(["verify", "--d", str(d), "--t", "2", "--shadows", "0,0"])
+    assert code == (cli.EXIT_GUARD if error is DimensionGuardError else cli.EXIT_USAGE)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and re.match(match, err.removeprefix("error: "))
+
+
 @pytest.mark.parametrize("t", [0, -3])
 def test_collusion_rejects_a_threshold_below_one(t):
     # t < 1 was reported as a threshold reached: a legitimate reconstruction.
@@ -65,6 +95,7 @@ def test_collusion_takes_a_threshold_above_d(t):
     ([[1, 2]], None, r"^d must be an integer, got None$"),  # was TypeError
     ([[1, 2]], 11.0, r"^d must be an integer, got 11\.0$"),
     ([[1, 11]], 11, r"^digit 11 outside \[0, 11\)$"),
+    ([[True, 2]], 11, "^digits must be an integer array"),  # was [3]: True read as 1
 ])
 def test_aggregate_rejects_bad_input(digits, d, match):
     with pytest.raises(ConfigError, match=match):

@@ -200,6 +200,17 @@ def test_tap_probabilities_must_sum_to_one():
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("weights", [[[0.5, 0.5]], None, 0.5, ["0.5", "0.5"],
+                                     [True, False], [[1.0], [0.5, 0.5]]])
+def test_tap_weights_must_be_a_1d_sequence_of_numbers(weights):
+    # [[0.5, 0.5]] once ran to a 2-D tap_counts, and None raised TypeError from len.
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^tap weights must be a 1-D sequence of numbers$"):
+        run_quantum_phase([1, 2, 3, 4], 5, 300, rng, tap=lambda state: (weights, state))
+    assert rng.bit_generator.state == before
+
+
 def _weighted_tap(weights):
     """A tap that splits the send to slot 2 into one branch per weight, every
     branch passing the state on unchanged."""
