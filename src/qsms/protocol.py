@@ -11,6 +11,7 @@ A run produces a JSON-serializable transcript.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import types
 from dataclasses import dataclass, fields
@@ -101,8 +102,8 @@ class RunConfig:
         affine.check_qudits(t)
         d = smallest_valid_prime(n) if self.d is None else _integer("d", self.d)
         # The range check runs first: it is cheap, primality of a huge d is not.
-        if not self.allow_out_of_range_prime and not n <= d <= 2 * n:
-            raise ConfigError(f"d={d} outside [n, 2n] = [{n}, {2 * n}]")
+        if not self.allow_out_of_range_prime and not n < d <= 2 * n:
+            raise ConfigError(f"d={d} outside (n, 2n] = ({n}, {2 * n}]")
         check_modulus(d)
         secrets = _sequence("secrets", self.secrets)
         if not secrets:
@@ -205,8 +206,9 @@ class PreparedRun:
         return players
 
 
-# ``Share.to_json()``'s keys, in order, and each message kind's payload keys.
+# ``Share.to_json()``'s keys in order, a message's, and each kind's payload keys.
 _SHARE_KEYS = ("x", "value", "modulus")
+_MESSAGE_KEYS = ("sender", "receiver", "kind", "payload")
 _PAYLOAD_KEYS = {"share": _SHARE_KEYS, "particle": ("position",)}
 
 
@@ -366,11 +368,14 @@ def _json_list(texts: list[str], depth: int, brackets: str = "[]") -> list[str]:
             f"{indent}{brackets[1]}"]
 
 
-@functools.cache
-def _template(depth: int, keys: tuple[str, ...]) -> str:
+@functools.lru_cache(maxsize=256)
+def _template(depth: int, keys: tuple[str, ...], values: tuple | None = None) -> str:
     """One record kind's ``str.format`` template: a JSON object with ``keys``
-    at ``depth``, indented as above, with a ``{}`` slot per value's JSON text."""
-    return "".join(_json_list([f'"{key}": {{}}' for key in keys], depth, ("{{", "}}")))
+    at ``depth``, indented as above, each value a ``{}`` slot or its text from
+    ``values`` baked in (an int, or text whose literal braces are doubled)."""
+    values = ("{}",) * len(keys) if values is None else values
+    return "".join(_json_list([f'"{key}": {value}' for key, value in zip(keys, values)],
+                              depth, ("{{", "}}")))
 
 
 def _digit_table(digits: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,6 +421,8 @@ def _json_value(value, depth: int) -> str:
         key = _JSON_SCALARS[str]
         return "".join(_json_list([f"{key(k)}: {_json_value(v, depth + 1)}"
                                    for k, v in value.items()], depth, "{}"))
+    if set(map(type, value)) == {int}:  # ints alone, no bool: one join of their texts
+        return "".join(_json_list(list(map(int.__repr__, value)), depth))
     return "".join(_json_list([_json_value(v, depth + 1) for v in value], depth))
 
 
@@ -469,20 +476,33 @@ class ProtocolTranscript(PreparedRun):
         each shot's index into the rows and each row's count: the one table
         that ``histogram()`` and ``write_json()`` share.
 
-        One stable ``np.lexsort`` of the digit columns, qudit 1 the primary
-        key, orders the shots; the keys, cast to the narrowest dtype holding
-        d - 1, are 8 or 16 bits for d < 2^16, so they sort by radix. A row
-        starts wherever a shot's digits differ from the shot before it."""
-        columns = self.outcomes.T.astype(np.min_scalar_type(self.config.d - 1), copy=False)
-        order = np.lexsort(columns[::-1])
-        # take, unlike [:, order], keeps each qudit's digits contiguous.
-        ordered = columns.take(order, axis=1)
-        starts = np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(starts) - 1
-        first = np.flatnonzero(starts)
-        counts = np.diff(first, append=len(order))
-        texts, codes = _digit_table(ordered[:, first].T, self.config.d)
+        With d^t <= shots, one ``np.bincount`` counts the rows' base-d keys,
+        qudit 1 the most significant digit. Else one stable ``np.lexsort`` of
+        the digit columns, qudit 1 the primary key, orders the shots, and a
+        row starts wherever a shot's digits differ from the shot before it."""
+        d, (shots, t) = self.config.d, self.outcomes.shape
+        if d ** t <= shots:
+            # Horner in the narrowest dtype, then intp, which numpy gathers fastest.
+            columns = self.outcomes.T.astype(np.min_scalar_type(d ** t - 1))
+            keys = columns[0]
+            for column in columns[1:]:
+                keys = keys * d + column
+            keys = keys.astype(np.intp)
+            bins = np.bincount(keys, minlength=d ** t)
+            inverse = (np.cumsum(bins > 0) - 1)[keys]
+            present = np.flatnonzero(bins)
+            rows, counts = np.column_stack(np.unravel_index(present, (d,) * t)), bins[present]
+        else:  # 8 or 16-bit keys for d < 2^16 sort by radix
+            columns = self.outcomes.T.astype(np.min_scalar_type(d - 1), copy=False)
+            order = np.lexsort(columns[::-1])
+            # take, unlike [:, order], keeps each qudit's digits contiguous.
+            ordered = columns.take(order, axis=1)
+            starts = np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)]
+            inverse = np.empty_like(order)
+            inverse[order] = np.cumsum(starts) - 1
+            first = np.flatnonzero(starts)
+            rows, counts = ordered[:, first].T, np.diff(first, append=shots)
+        texts, codes = _digit_table(rows, d)
         return texts[codes].tolist(), inverse, counts
 
     def histogram(self) -> dict:
@@ -520,22 +540,28 @@ class ProtocolTranscript(PreparedRun):
 
     def write_json(self, fp) -> None:
         """``json.dumps(self.to_dict(), indent=2)``, byte for byte, written to
-        ``fp`` in order, from one template per record kind and one text per
-        distinct per-shot entry (equal sums: one text); the per-shot sections go
-        out in blocks of ``SHOTS_PER_BLOCK`` shots. No string needs escaping."""
+        ``fp`` in order, from one template per record kind (d baked in) and one
+        text per distinct per-shot entry (equal sums: one text); the per-shot
+        sections go out in blocks of ``SHOTS_PER_BLOCK`` shots. No string needs
+        escaping."""
         cfg, d = self.config, self.config.d
-        points = [p % d for p in cfg.evaluation_points]
-        share = _template(4, _SHARE_KEYS)
-        dealers = ["".join(_json_list([share.format(x, v, d)
-                                       for x, v in zip(points, row)], 3))
-                   for row in self.dealer_rows.tolist()]
-        combined = [_template(3, _SHARE_KEYS).format(x, v, d)
-                    for x, v in zip(points, self.combined)]
-        shadow = _template(2, ("owner", "value", "modulus"))
-        message = _template(2, ("sender", "receiver", "kind", "payload"))
-        messages = [message.format(f'"{src}"', f'"{dst}"', f'"{kind}"',
-                                   _template(3, _PAYLOAD_KEYS[kind]).format(*values))
-                    for src, dst, kind, values in _message_records(cfg, self.dealer_rows)]
+        points, dealer_rows = [p % d for p in cfg.evaluation_points], self.dealer_rows.tolist()
+        share = ("{}", "{}", d)  # x and value slots, then the modulus
+        dealer_share = _template(4, _SHARE_KEYS, share).format
+        dealers = ["".join(_json_list(list(map(dealer_share, points, row)), 3))
+                   for row in dealer_rows]
+        combined = list(map(_template(3, _SHARE_KEYS, share).format, points, self.combined))
+        shadow = _template(2, ("owner", "value", "modulus"), share).format
+        # Slots for the dealer k, the player i and the share's x and value.
+        sent = _template(2, _MESSAGE_KEYS, ('"dealer_{}"', '"P{}"', '"share"',
+                                            _template(3, _SHARE_KEYS, share)))
+        messages, players = [], range(1, cfg.n + 1)
+        for k, row in enumerate(dealer_rows, start=1):
+            messages += map(sent.format, itertools.repeat(k), players, points, row)
+        position = _template(3, _PAYLOAD_KEYS["particle"])
+        particle = _template(2, _MESSAGE_KEYS,
+                             (f'"P{cfg.qualified[0]}"', '"P{}"', '"particle"', position))
+        messages += map(particle.format, cfg.qualified[1:], itertools.count(2))
         texts, inverse, counts = self._outcome_table
         counts = [f'"{"-".join(row)}": {n}' for row, n in zip(texts, counts.tolist())]
         sep = ",\n      "  # between a row's digits, as ``_json_list(row, 2)`` writes it
@@ -547,8 +573,7 @@ class ProtocolTranscript(PreparedRun):
             "shares": _json_list([f'"dealers": {"".join(_json_list(dealers, 2))}',
                                   f'"combined": {"".join(_json_list(combined, 2))}'],
                                  1, "{}"),
-            "shadows": _json_list([shadow.format(u, v, d)
-                                   for u, v in enumerate(self.shadows, start=1)], 1),
+            "shadows": _json_list(list(map(shadow, itertools.count(1), self.shadows)), 1),
             "messages": _json_list(messages, 1),
             "histogram": [_template(1, ("d", "t", "shots", "seed", "counts")).format(
                 d, cfg.t, len(self.outcomes), self.seed,

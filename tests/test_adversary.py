@@ -42,10 +42,11 @@ def test_intercept_uniform_marginal_d11():
 
 
 def test_intercept_rejects_d2_baseline_d3():
-    # Z_2 has one nonzero evaluation point, too few for n=2 players.
+    # Z_2 has one nonzero evaluation point, too few for n=2 players; d = n is
+    # outside (n, 2n], so only the allowance lets it reach the point rule.
     with pytest.raises(ConfigError, match="evaluation points"):
-        intercept_and_measure(RunConfig(secrets=(0,), n=2, t=2, d=2, shots=10_000, seed=1),
-                              [(0,), (1,)])
+        intercept_and_measure(RunConfig(secrets=(0,), n=2, t=2, d=2, shots=10_000, seed=1,
+                                        allow_out_of_range_prime=True), [(0,), (1,)])
     report = intercept_and_measure(
         RunConfig(secrets=(0,), n=2, t=2, d=3, shots=10_000, seed=1), [(0,), (1,)]
     )
@@ -439,7 +440,7 @@ def test_dealt_shares_are_the_shares_a_run_deals(config):
 
 @pytest.mark.parametrize("config", [
     RunConfig(secrets=(2, 3), n=7, t=3, shots=100),
-    # d outside [n, 2n]: its resolution was checked with the allowance.
+    # d outside (n, 2n]: its resolution was checked with the allowance.
     RunConfig(secrets=(2, 3), n=7, t=3, d=101, shots=100, seed=5,
               allow_out_of_range_prime=True),
 ])
@@ -550,10 +551,10 @@ _CONFIG_FIELDS = {"secrets": _ARG_LIST, "n": _ARG, "t": _ARG, "shots": _ARG, "se
 
 @st.composite
 def _attack_configs(draw):
-    """A valid config (n <= 12, prime d in [n, 2n] or left out) with up to
+    """A valid config (n <= 12, prime d in (n, 2n] or left out) with up to
     three fields replaced, as a RunConfig or, if it resolves, its resolution."""
     n = draw(st.integers(2, 12))
-    d = draw(st.sampled_from([None, *[p for p in range(n, 2 * n + 1) if is_prime(p)]]))
+    d = draw(st.sampled_from([None, *[p for p in range(n + 1, 2 * n + 1) if is_prime(p)]]))
     fields = {"secrets": draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)),
               "n": n, "t": draw(st.integers(2, n)), "d": d,
               "shots": draw(st.integers(1, 300)), "seed": draw(st.integers(0, 2**64))}

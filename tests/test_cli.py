@@ -289,10 +289,10 @@ def test_share_messages_built_only_to_write_them(argv, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("share messages built")
 
-    # The JSON writer formats the messages' records, never the dict view.
+    # The JSON writer formats the messages from its own templates, never the
+    # records or the dict view that ``to_dict`` reads.
     monkeypatch.setattr(ProtocolTranscript, "messages", property(refuse))
-    if "json" not in argv:
-        monkeypatch.setattr(protocol, "_message_records", refuse)
+    monkeypatch.setattr(protocol, "_message_records", refuse)
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
 

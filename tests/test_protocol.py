@@ -688,10 +688,13 @@ _BLOCK = protocol.SHOTS_PER_BLOCK
 
 
 @pytest.mark.parametrize("tapped", [False, True])
-@pytest.mark.parametrize("shots", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+# 1330, 1331 and 1332 shots sit on either side of d^t = 11^3, where the outcome
+# table switches from sorting the shots to counting them.
+@pytest.mark.parametrize("shots", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+                                   1330, 1331, 1332])
 def test_write_json_to_a_file_matches_stdlib_encoder(shots, tapped, tmp_path):
-    """The streamed writer's bytes on either side of each block boundary,
-    with and without a tap whose per-shot sums vary."""
+    """The streamed writer's bytes on either side of each block boundary and
+    of the table's d^t rule, with and without a tap whose per-shot sums vary."""
     transcript = run_protocol(RunConfig(secrets=(4, 9), n=7, t=3, d=11, shots=shots,
                                         seed=shots), tap=measure_leg if tapped else None)
     path = tmp_path / "transcript.json"
@@ -700,6 +703,21 @@ def test_write_json_to_a_file_matches_stdlib_encoder(shots, tapped, tmp_path):
     want = json.dumps(transcript.to_dict(), indent=2)
     _assert_same_text(path.read_text(), want)
     assert transcript.to_json() == want
+
+
+def test_baked_share_messages_and_dealer_rows_match_to_dict():
+    """Share messages and ``shares.dealers`` rows come from templates with the
+    constant text and d baked in: each section's text is the stdlib encoder's
+    of ``to_dict()``, for four dealers, points written as given (one negative,
+    one >= d) and a qualified set out of order."""
+    transcript = run_protocol(RunConfig(secrets=(3, 5, 0, 10), n=6, t=3, d=11, shots=4,
+                                        evaluation_points=(-1, 12, 3, 4, 5, 6),
+                                        qualified=(5, 2, 4)))
+    text, want = transcript.to_json(), transcript.to_dict()
+    assert len(want["shares"]["dealers"]) == 4 and len(want["messages"]) == 4 * 6 + 2
+    for key in ("shares", "messages"):
+        section = json.dumps({key: want[key]}, indent=2)[len("{\n  "):-len("\n}")]
+        assert f'\n  {section},\n  "' in text, key
 
 
 @pytest.mark.parametrize("shots", [2, _BLOCK, _BLOCK + 1])
@@ -763,6 +781,12 @@ def _small_run(d, n, t, repeat=1, **config):
     return replace(transcript, outcomes=np.repeat(transcript.outcomes, repeat, axis=0))
 
 
+def _demo_size_run(shots, tap=None):
+    """The demo's committee (d=11, t=3) at ``shots`` shots."""
+    return run_protocol(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=shots, seed=shots),
+                        tap=tap)
+
+
 def _last_digit_rows(d, n, t):
     """A 500-shot run's rows with the first row's leading t - 1 digits: the
     rows differ only in their last digit."""
@@ -789,9 +813,21 @@ def _last_digit_rows(d, n, t):
 # Rows that tie on every key but the last.
 @example(transcript=_last_digit_rows(211, 110, 9))
 @example(transcript=_last_digit_rows(7, 4, 3))
+# Either side of d^t = 11^3 shots, where the table counts the shots instead of
+# sorting them, honest and tapped; then rows repeated three times, counted.
+@example(transcript=_demo_size_run(1330))
+@example(transcript=_demo_size_run(1331))
+@example(transcript=_demo_size_run(1332))
+@example(transcript=_demo_size_run(1330, tap=measure_leg))
+@example(transcript=_demo_size_run(1331, tap=measure_leg))
+@example(transcript=_demo_size_run(1332, tap=measure_leg))
+@example(transcript=_small_run(11, 7, 3, repeat=3))
 def test_histogram_matches_row_unique_oracle(transcript):
     cfg = transcript.config
-    rows, counts = np.unique(transcript.outcomes, axis=0, return_counts=True)
+    rows, inverse, counts = np.unique(transcript.outcomes, axis=0, return_inverse=True,
+                                      return_counts=True)
+    # Each shot's index into the distinct rows, in the oracle's ascending order.
+    assert transcript._outcome_table[1].tolist() == inverse.reshape(-1).tolist()
     oracle = {
         "d": cfg.d, "t": cfg.t, "shots": len(transcript.outcomes), "seed": transcript.seed,
         "counts": {"-".join(str(c) for c in row): n
@@ -873,12 +909,14 @@ def test_resolved_61_bit_prime_returns_promptly():
         (dict(secrets=(2,), n=3, t=4), "threshold"),
         (dict(secrets=(2,), n=3, t=2, d=4), "not prime"),
         (dict(secrets=(2,), n=3, t=2, d=23), "outside"),
-        (dict(secrets=(9,), n=3, t=2, d=3), "secret"),
-        (dict(secrets=(2,), n=3, t=2, d=3), "evaluation points"),
+        (dict(secrets=(9,), n=3, t=2, d=5), "secret"),
+        (dict(secrets=(2,), n=3, t=2, d=5, evaluation_points=(1, 6, 2)), "evaluation points"),
         (dict(secrets=(2,), n=3, t=2, d=5, qualified=(1, 1)), "distinct"),
         (dict(secrets=(2,), n=3, t=2, d=5, shots=0), "shots"),
         (dict(secrets=(2,), n=3, t=2, d=5, polynomials=((1, 0),)), "constant"),
         (dict(secrets=(2,), n=3, t=2, d=5, seed=-1), "seed"),
+        # Z_3 has 2 nonzero points, too few for 3 players: d = n is out of range.
+        (dict(secrets=(2,), n=3, t=2, d=3), r"^d=3 outside \(n, 2n\] = \(3, 6\]$"),
     ],
 )
 def test_config_validation(kwargs, match):
