@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from . import affine
-from .protocol import (TAP_POSITION, ResolvedConfig, RunConfig, _json_value, branch_counts,
-                       combine, deal, resolve, run_generators, run_protocol, send_ghz)
+from .protocol import (DEAL, SHOTS, TAP_POSITION, ResolvedConfig, RunConfig, _json_value,
+                       branch_counts, combine, deal, resolve, run_generator, run_protocol,
+                       send_ghz)
 from .protocol import prepare_run  # noqa: F401 (not called: perfbench/tracer.py patches it)
 from .shamir import Share
 from .zmod import ConfigError, FieldElement, _integer, _sequence, check_modulus, row_reduce
@@ -72,6 +73,10 @@ class AttackReport:
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2)``, from the transcript's writer."""
         return _json_value(self.to_dict(), 0)
+
+    def write_json(self, fp) -> None:
+        """``to_json()``'s text, written to ``fp`` at once."""
+        fp.write(self.to_json())
 
 
 def _counts_to_dist(counts: np.ndarray, shots: int) -> dict[str, float]:
@@ -135,7 +140,7 @@ def intercept_and_measure(config: RunConfig | ResolvedConfig,
         config = RunConfig(**vars(resolve(config)), allow_out_of_range_prime=True)
     configs = [replace(config, secrets=pair).resolved() for pair in secret_pairs]
     d, shots = configs[0].d, configs[0].shots
-    _, rng = run_generators(configs[0].seed)
+    rng = run_generator(configs[0].seed, SHOTS)
     weights, _ = send_ghz(configs[0].t, d, measure_leg)
     counts = [branch_counts(weights, shots, rng) for _ in configs]  # shots per digit
     distributions = {str(cfg.secrets): _counts_to_dist(c, shots)
@@ -190,9 +195,8 @@ def dealt_shares(config: RunConfig | ResolvedConfig, players: Sequence[int]) -> 
     players = _sequence("colluders", players)
     if len(set(players)) != len(players) or not all(1 <= i <= config.n for i in players):
         raise ConfigError(f"colluders must be distinct players in 1..{config.n}")
-    deal_rng, _ = run_generators(config.seed)
     d = config.d
-    combined = combine(deal(config, deal_rng), d).tolist()
+    combined = combine(deal(config, run_generator(config.seed, DEAL)), d).tolist()
     return [Share(FieldElement(config.evaluation_points[i - 1], d),
                   FieldElement(combined[i - 1], d)) for i in players]
 

@@ -125,22 +125,22 @@ def _render_table(transcript) -> str:
     return "\n".join(lines)
 
 
-def _emit_transcript(transcript, args) -> None:
-    """``--format`` on stdout, JSON to ``--output``: one ``write_json`` pass feeds both."""
+def _emit(document, args) -> None:
+    """A transcript's or an attack report's ``--format`` on stdout, JSON to
+    ``--output``: one ``write_json`` pass feeds both. An attack's format is JSON."""
     fmt = getattr(args, "format", "pretty")
-    output = getattr(args, "output", None)
     with contextlib.ExitStack() as stack:
-        sinks = _Tee([stack.enter_context(_open_output(output))] if output else [])
+        sinks = _Tee([stack.enter_context(_open_output(args.output))] if args.output else [])
         if fmt == "json":
             sinks.append(sys.stdout)
         elif fmt == "csv":
             writer = csv.writer(sys.stdout)
             writer.writerow(["outcome", "count"])
-            writer.writerows(transcript.histogram()["counts"].items())
+            writer.writerows(document.histogram()["counts"].items())
         else:
-            print(_render_table(transcript))
+            print(_render_table(document))
         if sinks:
-            transcript.write_json(sinks)
+            document.write_json(sinks)
     if fmt == "json":
         print()
 
@@ -153,30 +153,25 @@ def cmd_run(args: argparse.Namespace) -> int:
                 base = json.load(fh)
         except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
             raise ConfigError(f"--config {args.config}: {exc}") from None
-    transcript = run_protocol(_config_from_args(args, base))
-    _emit_transcript(transcript, args)
+    _emit(run_protocol(_config_from_args(args, base)), args)
     return EXIT_OK
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     transcript = run_protocol(_config_from_args(args, DEMO_CONFIG))
-    _emit_transcript(transcript, args)
+    _emit(transcript, args)
 
-    mismatches = []
     got_f, got_g = transcript.dealer_rows.tolist()
-    for name, got, want in (
+    mismatches = [f"MISMATCH {name}: expected {want}, got {got}" for name, got, want in (
         ("f shares", got_f, DEMO_F_ROW),
         ("g shares", got_g, DEMO_G_ROW),
         ("h shares", transcript.combined, DEMO_H_ROW),
         ("shadows", transcript.shadows, DEMO_SHADOWS),
         ("result", transcript.result, DEMO_RESULT),
         ("binary", transcript.result_binary, "101"),
-    ):
-        if got != want:
-            mismatches.append(f"{name}: expected {want}, got {got}")
+    ) if got != want]
     if mismatches:
-        for line in mismatches:
-            print(f"MISMATCH {line}", file=sys.stderr)
+        print(*mismatches, sep="\n", file=sys.stderr)
         return EXIT_VERIFY
     print("demo matches the reference values")
     return EXIT_OK
@@ -194,11 +189,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             raise ConfigError("--colluders is required for a collusion attack")
         # The coalition pools the shares a run of this config deals it.
         report = collusion_inference(dealt_shares(cfg, args.colluders), t=cfg.t, d=cfg.d)
-    text = report.to_json()
-    print(text)
-    if args.output:
-        with _open_output(args.output) as fh:
-            fh.write(text)
+    _emit(report, args)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -278,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack_p.add_argument("--secret-pairs", type=_poly_list, dest="secret_pairs",
                           default=((2, 3), (7, 9)), help="e.g. '2,3;7,9'")
     attack_p.add_argument("--colluders", type=_int_list)
-    attack_p.set_defaults(func=cmd_attack)
+    attack_p.set_defaults(func=cmd_attack, format="json")
 
     verify_p = sub.add_parser(
         "verify", help="simulator vs analytic post-transform state"

@@ -44,6 +44,8 @@ SHOTS_PER_BLOCK = 1024
 # Most share messages (dealers x n) a run may hold: writing the transcript
 # peaks at about 1 KiB per message, with its dealer share, 64 MiB at the guard.
 MESSAGE_GUARD = 2**16
+# A run's two seed streams, each its own ``run_generator``: the deal's and the shots'.
+DEAL, SHOTS = 0, 1
 
 
 @dataclass(frozen=True)
@@ -212,11 +214,10 @@ _MESSAGE_KEYS = ("sender", "receiver", "kind", "payload")
 _PAYLOAD_KEYS = {"share": _SHARE_KEYS, "particle": ("position",)}
 
 
-def run_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The generators a run or attack at ``seed`` deals and draws its shots
-    from, the only ones qsms makes: two children of one ``SeedSequence``."""
-    deal_seq, shot_seq = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(deal_seq), np.random.default_rng(shot_seq)
+def run_generator(seed: int, stream: int) -> np.random.Generator:
+    """The generator of a run or attack at ``seed`` that deals (``DEAL``) or draws
+    shots (``SHOTS``), the only one qsms makes: ``SeedSequence(seed).spawn(2)[stream]``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 def deal(config: ResolvedConfig, rng: np.random.Generator) -> np.ndarray:
@@ -351,10 +352,10 @@ def aggregate(digits: np.ndarray, d: int) -> np.ndarray:
     if digits.size and (digits.min() < 0 or digits.max() >= d):
         outside = (digits < 0) | (digits >= d)
         raise ConfigError(f"digit {digits[outside][0]} outside [0, {d})")
-    # One sum in the narrowest dtype that holds t * (d - 1), so one reduction
-    # at the end is exact; a single row's sum stays a 0-d array.
+    # One sum in the narrowest dtype that holds t * (d - 1), then one reduction by floor
+    # division, which numpy vectorizes and its integer % does not; a row's sum is 0-d.
     sums = digits.sum(axis=-1, dtype=np.min_scalar_type(digits.shape[-1] * (d - 1)))
-    return np.asarray(sums % d).astype(digit_dtype(d), copy=False)
+    return np.asarray(sums - sums // d * d).astype(digit_dtype(d), copy=False)
 
 
 def _json_list(texts: list[str], depth: int, brackets: str = "[]") -> list[str]:
@@ -368,7 +369,6 @@ def _json_list(texts: list[str], depth: int, brackets: str = "[]") -> list[str]:
             f"{indent}{brackets[1]}"]
 
 
-@functools.lru_cache(maxsize=256)
 def _template(depth: int, keys: tuple[str, ...], values: tuple | None = None) -> str:
     """One record kind's ``str.format`` template: a JSON object with ``keys``
     at ``depth``, indented as above, each value a ``{}`` slot or its text from
@@ -550,11 +550,11 @@ class ProtocolTranscript(PreparedRun):
         dealer_share = _template(4, _SHARE_KEYS, share).format
         dealers = ["".join(_json_list(list(map(dealer_share, points, row)), 3))
                    for row in dealer_rows]
-        combined = list(map(_template(3, _SHARE_KEYS, share).format, points, self.combined))
+        share_3 = _template(3, _SHARE_KEYS, share)  # a combined share, a message's payload
+        combined = list(map(share_3.format, points, self.combined))
         shadow = _template(2, ("owner", "value", "modulus"), share).format
         # Slots for the dealer k, the player i and the share's x and value.
-        sent = _template(2, _MESSAGE_KEYS, ('"dealer_{}"', '"P{}"', '"share"',
-                                            _template(3, _SHARE_KEYS, share)))
+        sent = _template(2, _MESSAGE_KEYS, ('"dealer_{}"', '"P{}"', '"share"', share_3))
         messages, players = [], range(1, cfg.n + 1)
         for k, row in enumerate(dealer_rows, start=1):
             messages += map(sent.format, itertools.repeat(k), players, points, row)
@@ -607,9 +607,9 @@ def run_protocol(
     config: RunConfig | ResolvedConfig, tap: QuantumTap | None = None
 ) -> ProtocolTranscript:
     cfg = resolve(config)
-    deal_rng, shot_rng = run_generators(cfg.seed)
-    prepared = prepare_run(cfg, deal_rng)
-    phase = run_quantum_phase(prepared.shadows, cfg.d, cfg.shots, shot_rng, tap=tap)
+    prepared = prepare_run(cfg, run_generator(cfg.seed, DEAL))
+    phase = run_quantum_phase(prepared.shadows, cfg.d, cfg.shots,
+                              run_generator(cfg.seed, SHOTS), tap=tap)
     sums = aggregate(phase.digits, cfg.d)
     if tap is None and (sums != sums[0]).any():
         raise AssertionError("honest run produced non-constant per-shot sums")

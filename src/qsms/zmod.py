@@ -6,9 +6,9 @@ in the same process; mixing moduli is an error, never a silent coercion.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -217,10 +217,12 @@ def row_reduce(matrix, d: int) -> tuple[np.ndarray, list[int]]:
         below = np.flatnonzero(m[rank:, col])
         if below.size == 0:
             continue
-        m[[rank, rank + below[0]]] = m[[rank + below[0], rank]]
+        if below[0]:  # the pivot row is not yet at ``rank``
+            m[[rank, rank + below[0]]] = m[[rank + below[0], rank]]
         m[rank] = m[rank] * pow(int(m[rank, col]), -1, d) % d
         factors = m[:, col].copy()
         factors[rank] = 0
-        m = (m - factors[:, None] * m[rank]) % d
+        m -= factors[:, None] * m[rank]
+        m %= d
         pivots.append(col)
     return m[: len(pivots)], pivots

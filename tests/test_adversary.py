@@ -315,10 +315,22 @@ def test_intercept_draws_from_a_runs_shot_generator():
     # Each tuple's branch counts, in order, from the generator a run at the seed draws from.
     report = intercept_and_measure(RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=500,
                                              seed=4), [(2, 3), (7, 9)])
-    _, rng = protocol.run_generators(4)
+    rng = protocol.run_generator(4, protocol.SHOTS)
     for dist in report.distributions.values():
         counts = protocol.branch_counts(np.full(11, 1 / 11), 500, rng)
         assert dist == {str(k): c / 500 for k, c in enumerate(counts.tolist()) if c}
+
+
+def test_intercept_and_dealt_shares_each_build_one_generator(monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: built.append(args) or default_rng(*args))
+    cfg = RunConfig(secrets=(2, 3), n=7, t=3, d=11, shots=500, seed=4)
+    intercept_and_measure(cfg, [(2, 3), (7, 9)])
+    assert len(built) == 1  # the shot stream alone
+    adversary.dealt_shares(cfg, [1, 2])
+    assert len(built) == 2  # and then the deal stream alone
 
 
 def test_dealt_shares_computes_no_shadows(monkeypatch):

@@ -28,6 +28,14 @@ def test_demo_matches_reference(capsys):
     assert "[5, 4, 7]" in out
 
 
+def test_demo_reports_each_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "DEMO_SHADOWS", [1, 2, 3])
+    monkeypatch.setattr(cli, "DEMO_RESULT", 4)
+    assert main(["demo", "--shots", "8"]) == EXIT_VERIFY
+    assert capsys.readouterr().err == ("MISMATCH shadows: expected [1, 2, 3], got [5, 4, 7]\n"
+                                       "MISMATCH result: expected 4, got 5\n")
+
+
 def _table_offsets(out: str) -> list[list[int]]:
     """Where each word of each share-table row starts: the rows above the shadows line."""
     lines = out.splitlines()
@@ -755,6 +763,16 @@ def test_failed_write_leaves_no_partial_output(writes, tmp_path, monkeypatch, ca
     monkeypatch.setattr(cli, "open", _output_closed_after(writes), raising=False)
     out_file = tmp_path / "out.json"
     assert main([*_PIPED_RUN, "--output", str(out_file)]) == EXIT_USAGE
+    assert "Broken pipe" in _single_error_line(capsys)
+    assert not out_file.exists()
+
+
+def test_failed_report_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
+    # A report goes out in one write, through the emitter a transcript takes.
+    monkeypatch.setattr(cli, "open", _output_closed_after(0), raising=False)
+    out_file = tmp_path / "out.json"
+    argv = ["attack", "--kind", "intercept", "--shots", "100", "--output", str(out_file)]
+    assert main(argv) == EXIT_USAGE
     assert "Broken pipe" in _single_error_line(capsys)
     assert not out_file.exists()
 

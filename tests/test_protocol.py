@@ -50,6 +50,16 @@ PAPER_CONFIG = RunConfig(
 )
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**31 - 1, 2**64 - 1])
+@pytest.mark.parametrize("stream", [protocol.DEAL, protocol.SHOTS])
+def test_run_generator_is_a_child_of_the_seed(seed, stream):
+    # The seed stream of two spawned children, one built at a time.
+    want = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[stream])
+    got = protocol.run_generator(seed, stream)
+    assert got.integers(0, 2**62, size=16).tolist() == want.integers(0, 2**62, size=16).tolist()
+    assert got.bit_generator.state == want.bit_generator.state
+
+
 def test_deal_reproduces_reference_rows():
     cfg = PAPER_CONFIG.resolved()
     rows = deal(cfg, np.random.default_rng(0))
